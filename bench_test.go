@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/mathx"
 	"repro/internal/parallel"
 	"repro/internal/power"
 	"repro/internal/rms"
@@ -367,6 +368,39 @@ func benchPopulation(b *testing.B, workers int) {
 
 func BenchmarkPopulationSequential(b *testing.B) { benchPopulation(b, 1) }
 func BenchmarkPopulationParallel(b *testing.B)   { benchPopulation(b, 0) }
+
+// BenchmarkPopulationChip is one Monte-Carlo chip of the population
+// runner, as its pool tasks run it: a draw into a recycled chip, a
+// power model, a solver and the Still-point Speculative solve. Its
+// B/op bounds the population's allocation rate, which peak RSS tracks.
+func BenchmarkPopulationChip(b *testing.B) {
+	ctx := context.Background()
+	f, err := chip.NewFactory(chip.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cb, err := experiments.BenchmarkByName("canneal")
+	if err != nil {
+		b.Fatal(err)
+	}
+	qm, err := experiments.MeasuredFronts(ctx, cb, experiments.DefaultConfig().Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch := new(chip.Chip)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch = f.SampleIntoCtx(ctx, ch, mathx.SplitSeed(2014, int64(i)))
+		s, err := core.NewSolver(ch, power.NewModel(ch), cb, qm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solve(cb.DefaultInput(), core.Speculative); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // benchRunAll regenerates every registered experiment under the given
 // pool width, rendering to io.Discard — the full `cmd/accordion all`

@@ -15,7 +15,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/converge"
 	"repro/internal/mathx"
@@ -167,6 +169,15 @@ type Factory struct {
 	lefSampler *variation.Sampler
 	corePts    []variation.Point
 	nCore      int
+
+	draws sync.Pool // of *drawState, the scratch of one draw
+}
+
+// drawState is one draw's reusable scratch: the generator every
+// sub-stream is reseeded into, and the two deviation vectors.
+type drawState struct {
+	rng       *mathx.RNG
+	vth, leff []float64
 }
 
 // NewFactory validates cfg and prepares the variation samplers.
@@ -191,17 +202,46 @@ func NewFactory(cfg Config) (*Factory, error) {
 func (f *Factory) Config() Config { return f.cfg }
 
 // Sample draws one chip. The same seed always yields the same chip.
-func (f *Factory) Sample(seed int64) *Chip {
+func (f *Factory) Sample(seed int64) *Chip { return f.SampleInto(new(Chip), seed) }
+
+// SampleInto draws the chip Sample(seed) would into dst, reusing dst's
+// slices, and returns dst. dst may hold an earlier draw of any factory;
+// nothing may still be using it. Monte-Carlo loops recycle one chip per
+// worker this way instead of allocating ~27 KB per draw.
+func (f *Factory) SampleInto(dst *Chip, seed int64) *Chip {
 	timer := telemetry.StartTimer()
 	cfg := f.cfg
-	rng := mathx.NewRNG(seed)
-	vthDev := f.vthSampler.Sample(rng.Split(1))
-	leffDev := f.lefSampler.Sample(rng.Split(2))
-	blockRng := rng.Split(3)
+	st, _ := f.draws.Get().(*drawState)
+	if st == nil {
+		st = &drawState{
+			rng:  mathx.NewRNG(0), // reseeded per sub-stream below
+			vth:  make([]float64, f.vthSampler.N()),
+			leff: make([]float64, f.lefSampler.N()),
+		}
+	}
+	defer f.draws.Put(st)
+	// The parent stream hands each sub-stream (Vth field, Leff field,
+	// block draws) a seed split off its next value, as rng.Split(1..3)
+	// would; one pooled generator is reseeded for each in turn.
+	rng := st.rng
+	rng.Reseed(seed)
+	vthSeed, leffSeed, blockSeed := rng.Int63(), rng.Int63(), rng.Int63()
+	rng.Reseed(mathx.SplitSeed(vthSeed, 1))
+	f.vthSampler.SampleTo(st.vth, rng)
+	rng.Reseed(mathx.SplitSeed(leffSeed, 2))
+	f.lefSampler.SampleTo(st.leff, rng)
+	rng.Reseed(mathx.SplitSeed(blockSeed, 3))
+	vthDev, leffDev, blockRng := st.vth, st.leff, rng
 
 	corePts := f.corePts
-	ch := &Chip{Cfg: cfg, Seed: seed}
-	ch.Cores = make([]Core, f.nCore)
+	ch := dst
+	*ch = Chip{
+		Cfg:           cfg,
+		Seed:          seed,
+		Cores:         slices.Grow(dst.Cores[:0], f.nCore)[:f.nCore],
+		Blocks:        slices.Grow(dst.Blocks[:0], f.nCore+cfg.Clusters)[:f.nCore+cfg.Clusters],
+		clusterVddMIN: dst.clusterVddMIN,
+	}
 	for i := range ch.Cores {
 		ch.Cores[i] = Core{
 			ID:      i,
@@ -215,24 +255,24 @@ func (f *Factory) Sample(seed int64) *Chip {
 	// cluster block at each cluster-memory point.
 	for i := 0; i < f.nCore; i++ {
 		dv := vthDev[i] * cfg.Tech.VthNom
-		ch.Blocks = append(ch.Blocks, MemBlock{
+		ch.Blocks[i] = MemBlock{
 			Kind:    CoreMem,
 			Cluster: i / cfg.CoresPer,
 			Core:    i,
 			VthDev:  vthDev[i],
 			VddMIN:  cfg.Tech.BlockVddMIN(dv, cfg.CoreMemBits, blockRng.StdNormal()),
-		})
+		}
 	}
 	for c := 0; c < cfg.Clusters; c++ {
 		dev := vthDev[f.nCore+c]
 		dv := dev * cfg.Tech.VthNom
-		ch.Blocks = append(ch.Blocks, MemBlock{
+		ch.Blocks[f.nCore+c] = MemBlock{
 			Kind:    ClusterMem,
 			Cluster: c,
 			Core:    -1,
 			VthDev:  dev,
 			VddMIN:  cfg.Tech.BlockVddMIN(dv, cfg.ClusterMemBits, blockRng.StdNormal()),
-		})
+		}
 	}
 	ch.deriveVoltages()
 	telChipsDrawn.Inc()
@@ -252,8 +292,14 @@ func (f *Factory) Sample(seed int64) *Chip {
 // summary metrics into the Monte-Carlo convergence estimators. The
 // chip returned is bit-identical to Sample(seed) regardless.
 func (f *Factory) SampleCtx(ctx context.Context, seed int64) *Chip {
+	return f.SampleIntoCtx(ctx, new(Chip), seed)
+}
+
+// SampleIntoCtx is SampleInto under the observability tier of
+// SampleCtx.
+func (f *Factory) SampleIntoCtx(ctx context.Context, dst *Chip, seed int64) *Chip {
 	sp := trace.StartFrom(ctx, "chip.draw").Arg("seed", seed)
-	ch := f.Sample(seed)
+	ch := f.SampleInto(dst, seed)
 	sp.End()
 	ch.ObserveConvergence()
 	return ch
@@ -289,7 +335,8 @@ func New(cfg Config, seed int64) (*Chip, error) {
 }
 
 func (ch *Chip) deriveVoltages() {
-	ch.clusterVddMIN = make([]float64, ch.Cfg.Clusters)
+	ch.clusterVddMIN = slices.Grow(ch.clusterVddMIN[:0], ch.Cfg.Clusters)[:ch.Cfg.Clusters]
+	clear(ch.clusterVddMIN)
 	for _, b := range ch.Blocks {
 		if b.VddMIN > ch.clusterVddMIN[b.Cluster] {
 			ch.clusterVddMIN[b.Cluster] = b.VddMIN
@@ -338,6 +385,27 @@ func (ch *Chip) CoreSafeFreq(i int, vdd float64) float64 {
 func (ch *Chip) CoreFreqAtPerr(i int, vdd, perr float64) float64 {
 	co := ch.Cores[i]
 	return ch.Cfg.Tech.FreqAtPerr(vdd, co.Vth(ch.Cfg.Tech), perr) / (1 + co.LeffDev)
+}
+
+// CoreDelay is core i's critical-path delay distribution at one supply
+// together with its channel-length slow-down. It splits
+// CoreFreqAtPerr into a per-core half and a per-error-rate half (the
+// quantile tech.Params.PerrQuantile solves by Newton iteration), so a
+// caller pricing many cores at a few error rates solves each quantile
+// once: CoreFreqAtPerr(i, vdd, perr) is bit-identical to
+// CoreDelay(i, vdd).FreqAt(Cfg.Tech.PerrQuantile(perr)).
+type CoreDelay struct {
+	tech.PathDelay
+	Slow float64 // 1 + LeffDev: longer channels are slower
+}
+
+// FreqAt returns the core's frequency at error-rate quantile z.
+func (d CoreDelay) FreqAt(z float64) float64 { return d.PathDelay.FreqAt(z) / d.Slow }
+
+// CoreDelay returns core i's delay distribution at supply vdd.
+func (ch *Chip) CoreDelay(i int, vdd float64) CoreDelay {
+	co := ch.Cores[i]
+	return CoreDelay{ch.Cfg.Tech.Delay(vdd, co.Vth(ch.Cfg.Tech)), 1 + co.LeffDev}
 }
 
 // CorePerr returns core i's per-cycle timing error probability when
@@ -429,11 +497,17 @@ func (ch *Chip) SelectCores(n int, vdd float64, policy SelectPolicy) []int {
 	for i := range ids {
 		ids[i] = i
 	}
+	// Both ranking policies key on each core's safe frequency; solve its
+	// error-rate quantile once rather than once per core (or per
+	// comparison).
+	zSafe := ch.Cfg.Tech.PerrQuantile(tech.ErrorFreePerr)
 	switch policy {
 	case SelectFastest:
-		sort.Slice(ids, func(a, b int) bool {
-			return ch.CoreSafeFreq(ids[a], vdd) > ch.CoreSafeFreq(ids[b], vdd)
-		})
+		safe := make([]float64, len(ch.Cores))
+		for i := range safe {
+			safe[i] = ch.CoreDelay(i, vdd).FreqAt(zSafe)
+		}
+		sort.Slice(ids, func(a, b int) bool { return safe[ids[a]] > safe[ids[b]] })
 	case SelectEfficient:
 		// Greedy per-core performance-per-Watt at the core's own safe
 		// frequency, the paper's "most energy-efficient NNTV cores".
@@ -444,7 +518,7 @@ func (ch *Chip) SelectCores(n int, vdd float64, policy SelectPolicy) []int {
 		// pull slow, cool cores forward and cost set frequency.
 		eff := make([]float64, len(ch.Cores))
 		for i := range eff {
-			f := ch.CoreSafeFreq(i, vdd)
+			f := ch.CoreDelay(i, vdd).FreqAt(zSafe)
 			p := ch.CorePower(i, vdd, f)
 			if p > 0 {
 				eff[i] = f / p

@@ -165,12 +165,14 @@ func NewController(ch *chip.Chip, pm *power.Model, drift DriftModel, requiredRat
 	}, nil
 }
 
-// coreFreqAt returns core i's frequency at the error-rate target with
-// the epoch's drift applied.
-func (c *Controller) coreFreqAt(i, epoch int, vdd float64) float64 {
+// coreFreqAt returns core i's frequency with the epoch's drift
+// applied, at z = PerrQuantile(c.Perr), which every core of an epoch
+// shares. It is bit-identical to
+// FreqAtPerr(vdd, drifted vth, c.Perr) / (1 + LeffDev).
+func (c *Controller) coreFreqAt(i, epoch int, vdd, z float64) float64 {
 	co := c.Chip.Cores[i]
 	vth := co.Vth(c.Chip.Cfg.Tech) + c.shift(i, epoch)
-	return c.Chip.Cfg.Tech.FreqAtPerr(vdd, vth, c.Perr) / (1 + co.LeffDev)
+	return c.Chip.Cfg.Tech.Delay(vdd, vth).FreqAt(z) / (1 + co.LeffDev)
 }
 
 // setRate returns the aggregate rate (N * min f) of a core set at an
@@ -179,9 +181,10 @@ func (c *Controller) setRate(cores []int, epoch int, vdd float64) (rate, minF fl
 	if len(cores) == 0 {
 		return 0, 0
 	}
+	z := c.Chip.Cfg.Tech.PerrQuantile(c.Perr)
 	minF = math.Inf(1)
 	for _, i := range cores {
-		if f := c.coreFreqAt(i, epoch, vdd); f < minF {
+		if f := c.coreFreqAt(i, epoch, vdd, z); f < minF {
 			minF = f
 		}
 	}
@@ -197,8 +200,9 @@ func (c *Controller) plan(epoch int, vdd float64) []int {
 		c.cands = make([]coreFreq, n)
 	}
 	cands := c.cands[:n]
+	z := c.Chip.Cfg.Tech.PerrQuantile(c.Perr)
 	for i := 0; i < n; i++ {
-		cands[i] = coreFreq{i, c.coreFreqAt(i, epoch, vdd)}
+		cands[i] = coreFreq{i, c.coreFreqAt(i, epoch, vdd, z)}
 	}
 	// Sort descending by frequency (insertion into sorted slice via
 	// simple sort).

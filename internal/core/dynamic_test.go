@@ -157,3 +157,22 @@ func TestPlanMinimality(t *testing.T) {
 		}
 	}
 }
+
+func TestCoreFreqAtMatchesFreqAtPerr(t *testing.T) {
+	c := testController(t, 100)
+	tp := c.Chip.Cfg.Tech
+	vdd := c.Chip.VddNTV()
+	for _, perr := range []float64{1e-16, 1e-9, 1e-3} {
+		c.Perr = perr
+		z := tp.PerrQuantile(perr)
+		for _, epoch := range []int{0, 7, 40} {
+			for i, co := range c.Chip.Cores {
+				vth := co.Vth(tp) + c.shift(i, epoch)
+				want := tp.FreqAtPerr(vdd, vth, perr) / (1 + co.LeffDev)
+				if got := c.coreFreqAt(i, epoch, vdd, z); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("perr %g epoch %d core %d: %v, FreqAtPerr %v", perr, epoch, i, got, want)
+				}
+			}
+		}
+	}
+}

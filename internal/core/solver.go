@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/chip"
@@ -66,11 +67,25 @@ type Solver struct {
 	vdd      float64
 	order    []int // engagement order of cores under Policy
 
-	perrGrid  []float64
-	logPerr   []float64   // log10 of perrGrid, the interpolation abscissae
-	prefixMin [][]float64 // prefixMin[n][g]: min f over first n+1 cores at perrGrid[g]
-	fCC       float64     // control-core frequency (fastest safe core)
+	delays []chip.CoreDelay // delays[k]: delay distribution of core order[k] at vdd
+	gridZ  [gridLen]float64 // error-rate quantile of each perrGrid point
+	fCC    float64          // control-core frequency (fastest safe core)
 }
+
+// perrGrid is the grid of per-cycle error-rate targets the solver
+// interpolates the engaged set's frequency on; logPerrGrid holds its
+// log10 abscissae.
+var (
+	perrGrid    = [...]float64{1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}
+	logPerrGrid = func() (lp [gridLen]float64) {
+		for g, p := range perrGrid {
+			lp[g] = math.Log10(p)
+		}
+		return lp
+	}()
+)
+
+const gridLen = len(perrGrid)
 
 // NewSolver prepares a solver; the quality model must belong to the
 // benchmark.
@@ -135,6 +150,10 @@ func (s *Solver) SetClusterGranular(on bool) {
 func (s *Solver) ClusterGranular() bool { return s.clusterGranular }
 
 func (s *Solver) rebuild() {
+	tp := s.Chip.Cfg.Tech
+	for g, perr := range perrGrid {
+		s.gridZ[g] = tp.PerrQuantile(perr)
+	}
 	if s.clusterGranular {
 		s.order = s.clusterOrder()
 	} else {
@@ -153,7 +172,7 @@ func (s *Solver) clusterOrder() []int {
 	ranks := make([]rank, s.Chip.Cfg.Clusters)
 	for c := range ranks {
 		slow := s.Chip.ClusterSlowestCore(c, s.vdd)
-		f := s.Chip.CoreSafeFreq(slow, s.vdd)
+		f := s.Chip.CoreDelay(slow, s.vdd).FreqAt(s.gridZ[0])
 		key := f
 		if s.policy == chip.SelectEfficient {
 			if p := s.Chip.CorePower(slow, s.vdd, f); p > 0 {
@@ -186,51 +205,59 @@ func (s *Solver) STVTime() float64 {
 	return s.profile.ExecTime(1, s.baseline.N, s.baseline.Freq, s.baseline.Freq)
 }
 
-// buildFreqTable precomputes, for every engagement prefix and a grid of
-// per-cycle error-rate targets, the common frequency of the prefix (the
-// minimum member frequency at that error rate). Interpolating the
-// prefix minima across the grid approximates min-of-interpolations
-// exactly whenever one slowest core dominates the prefix, which is the
-// regime the chip operates in.
+// buildFreqTable records each core's delay distribution in engagement
+// order. With the grid's error-rate quantiles (solved once in rebuild),
+// a core's frequency at grid point g is delays[k].FreqAt(gridZ[g]):
+// bit-identical to CoreFreqAtPerr at perrGrid[g], for two divisions
+// instead of a Newton solve.
 func (s *Solver) buildFreqTable() {
-	s.perrGrid = []float64{1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}
-	s.logPerr = make([]float64, len(s.perrGrid))
-	for g, p := range s.perrGrid {
-		s.logPerr[g] = math.Log10(p)
-	}
-	n := len(s.order)
-	s.prefixMin = make([][]float64, n)
-	running := make([]float64, len(s.perrGrid))
-	for g := range running {
-		running[g] = math.Inf(1)
-	}
-	for i, id := range s.order {
-		row := make([]float64, len(s.perrGrid))
-		for g, perr := range s.perrGrid {
-			f := s.Chip.CoreFreqAtPerr(id, s.vdd, perr)
-			if f < running[g] {
-				running[g] = f
-			}
-			row[g] = running[g]
-		}
-		s.prefixMin[i] = row
+	s.delays = slices.Grow(s.delays[:0], len(s.order))[:len(s.order)]
+	for k, id := range s.order {
+		s.delays[k] = s.Chip.CoreDelay(id, s.vdd)
 	}
 	// Control cores are the chip's fastest, most reliable cores; they
-	// run error-free.
+	// run error-free. perrGrid[0] is the error-free target.
 	s.fCC = 0
-	for i := range s.Chip.Cores {
-		if f := s.Chip.CoreSafeFreq(i, s.vdd); f > s.fCC {
+	for _, d := range s.delays {
+		if f := d.FreqAt(s.gridZ[0]); f > s.fCC {
 			s.fCC = f
 		}
 	}
 }
 
-// setFreq returns the common frequency of the first n cores at a
-// per-cycle error-rate target, interpolated on the precomputed grid.
-func (s *Solver) setFreq(n int, perr float64) float64 {
-	row := s.prefixMin[n-1]
-	lp := math.Log10(mathx.Clamp(perr, s.perrGrid[0], s.perrGrid[len(s.perrGrid)-1]))
-	return mathx.InterpMonotone(s.logPerr, row, lp)
+// prefixFreqs holds, for each grid error rate, the common frequency of
+// an engagement prefix: the minimum member frequency at that rate.
+// Solve and SolveBest walk the core count upward, so they grow one on
+// the stack a core at a time. Interpolating the prefix minima across
+// the grid approximates min-of-interpolations exactly whenever one
+// slowest core dominates the prefix, which is the regime the chip
+// operates in.
+type prefixFreqs [gridLen]float64
+
+// newPrefix returns the minima of the empty prefix.
+func newPrefix() prefixFreqs {
+	var pf prefixFreqs
+	for g := range pf {
+		pf[g] = math.Inf(1)
+	}
+	return pf
+}
+
+// engage extends the prefix by the k-th core of the engagement order.
+func (s *Solver) engage(pf *prefixFreqs, k int) {
+	d := s.delays[k]
+	for g, z := range s.gridZ {
+		if f := d.FreqAt(z); f < pf[g] {
+			pf[g] = f
+		}
+	}
+}
+
+// at returns the prefix's common frequency at a per-cycle error-rate
+// target, interpolated on the grid.
+func (pf *prefixFreqs) at(perr float64) float64 {
+	lp := math.Log10(mathx.Clamp(perr, perrGrid[0], perrGrid[gridLen-1]))
+	return mathx.InterpMonotone(logPerrGrid[:], pf[:], lp)
 }
 
 // taskPerr returns the paper's Section 6.3 speculative error-rate
@@ -257,13 +284,15 @@ func (s *Solver) Solve(input float64, flavor Flavor) (OperatingPoint, error) {
 	maxN := len(s.order)
 
 	perr := tech.ErrorFreePerr
+	pf := newPrefix()
 	for n := 1; n <= maxN; n++ {
-		f := s.setFreq(n, perr)
+		s.engage(&pf, n-1)
+		f := pf.at(perr)
 		if flavor == Speculative {
 			// Fixed point of (f -> task error rate -> f).
 			for iter := 0; iter < 4; iter++ {
 				perr = s.taskPerr(ps, n, f)
-				f = s.setFreq(n, perr)
+				f = pf.at(perr)
 			}
 		} else {
 			perr = tech.ErrorFreePerr
@@ -275,7 +304,7 @@ func (s *Solver) Solve(input float64, flavor Flavor) (OperatingPoint, error) {
 	}
 	// N-limited: even every core of the chip cannot reach the STV
 	// execution time. Report the best the chip can do.
-	f := s.setFreq(maxN, perr)
+	f := pf.at(perr)
 	t := s.profile.ExecTime(ps, maxN, f, s.fCC)
 	op := s.finishPoint(ps, input, flavor, maxN, f, perr, t)
 	op.Feasible = false
@@ -324,12 +353,14 @@ func (s *Solver) SolveBest(input float64, flavor Flavor) (OperatingPoint, error)
 	var best OperatingPoint
 	found := false
 	perr := tech.ErrorFreePerr
+	pf := newPrefix()
 	for n := 1; n <= len(s.order); n++ {
-		f := s.setFreq(n, perr)
+		s.engage(&pf, n-1)
+		f := pf.at(perr)
 		if flavor == Speculative {
 			for iter := 0; iter < 4; iter++ {
 				perr = s.taskPerr(ps, n, f)
-				f = s.setFreq(n, perr)
+				f = pf.at(perr)
 			}
 		} else {
 			perr = tech.ErrorFreePerr

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/chip"
 	"repro/internal/core"
@@ -154,8 +155,12 @@ func Population(ctx context.Context, cfg Config) ([]*Table, error) {
 	type chipStats struct {
 		vddNTV, nstv, eff, fGHz float64
 	}
+	// A task is done with its chip once it has read the statistics, so
+	// the draws recycle chips instead of allocating one per draw.
+	chips := sync.Pool{New: func() any { return new(chip.Chip) }}
 	stats, err := parallel.MapCtx(ctx, n, func(wctx context.Context, i int) (chipStats, error) {
-		ch := factory.SampleCtx(wctx, mathx.SplitSeed(cfg.ChipSeed, int64(i)))
+		ch := factory.SampleIntoCtx(wctx, chips.Get().(*chip.Chip), mathx.SplitSeed(cfg.ChipSeed, int64(i)))
+		defer chips.Put(ch)
 		pm := power.NewModel(ch)
 		solver, err := core.NewSolver(ch, pm, cb, qm)
 		if err != nil {

@@ -72,19 +72,19 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// LowerMulVec returns L * v exploiting L's lower-triangular structure,
-// roughly halving the work relative to MulVec.
-func (m *Matrix) LowerMulVec(v []float64) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+// LowerMulVecInPlace overwrites v (length Rows) with L*v, L the lower
+// triangle of m, exploiting its structure (roughly half MulVec's work)
+// without allocating. Rows are computed bottom-up, so row i still reads
+// the unmodified v[0..i].
+func (m *Matrix) LowerMulVecInPlace(v []float64) {
+	for i := m.Rows - 1; i >= 0; i-- {
 		row := m.Data[i*m.Cols : i*m.Cols+i+1]
 		s := 0.0
 		for j, r := range row {
 			s += r * v[j]
 		}
-		out[i] = s
+		v[i] = s
 	}
-	return out
 }
 
 // Grid2D is a dense scalar field over a regular W x H lattice. It backs

@@ -81,10 +81,23 @@ func TestLowerMulVecMatchesMulVec(t *testing.T) {
 	for i := range v {
 		v[i] = g.Normal(0, 1)
 	}
-	a, b := l.MulVec(v), l.LowerMulVec(v)
+	a := l.MulVec(v)
+	b := append([]float64(nil), v...)
+	l.LowerMulVecInPlace(b)
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("mismatch at %d: %g vs %g", i, a[i], b[i])
+		}
+	}
+	// Computed in place bottom-up, each row must still equal a plain
+	// top-down row sum bit for bit: the sampler's draws depend on it.
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for j := 0; j <= i; j++ {
+			s += l.At(i, j) * v[j]
+		}
+		if math.Float64bits(s) != math.Float64bits(b[i]) {
+			t.Fatalf("row %d: in place %v, row sum %v", i, b[i], s)
 		}
 	}
 }

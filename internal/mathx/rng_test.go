@@ -107,3 +107,28 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+func TestReseedMatchesNewRNG(t *testing.T) {
+	g := NewRNG(99)
+	g.Float64() // leave the stream mid-way
+	for _, seed := range []int64{0, 1, 2014, -7} {
+		g.Reseed(seed)
+		fresh := NewRNG(seed)
+		for i := 0; i < 700; i++ {
+			if a, b := g.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: reseeded %d, fresh %d", seed, i, a, b)
+			}
+		}
+	}
+	// Split(id) is Reseed(SplitSeed(Int63(), id)).
+	parent, shadow, child := NewRNG(5), NewRNG(5), NewRNG(0)
+	for id := int64(1); id <= 3; id++ {
+		split := parent.Split(id)
+		child.Reseed(SplitSeed(shadow.Int63(), id))
+		for i := 0; i < 10; i++ {
+			if a, b := split.StdNormal(), child.StdNormal(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("id %d draw %d: Split %v, reseeded %v", id, i, a, b)
+			}
+		}
+	}
+}

@@ -73,18 +73,62 @@ func (b Breakdown) Total() float64 {
 // frequency f GHz. Clusters containing no engaged core are power-gated
 // and contribute nothing; each active cluster pays its memory leakage.
 func (m *Model) Engaged(cores []int, vdd, f float64) Breakdown {
-	var b Breakdown
-	activeClusters := map[int]bool{}
-	tp := m.Chip.Cfg.Tech
+	var words [4]uint64
+	e := m.engage(words[:], vdd, f)
 	for _, i := range cores {
-		co := m.Chip.Cores[i]
-		b.CoreDynamic += tp.DynPower(vdd, f)
-		b.CoreStatic += m.Chip.CoreStaticPower(i, vdd)
-		activeClusters[co.Cluster] = true
+		e.add(i)
 	}
-	memLeakNom := tp.StaticPower(vdd, tp.VthNom) * m.ClusterMemLeakFactor
-	b.Memory = float64(len(activeClusters)) * memLeakNom
-	b.Network = b.CoreDynamic * m.NetworkFracDyn
+	return e.breakdown()
+}
+
+// engagement prices an engaged set core by core. Its sums run in the
+// order cores are added, so a prefix grown one core at a time prices
+// bit-identically to Engaged on that prefix.
+type engagement struct {
+	m              *Model
+	vdd            float64
+	coreDyn        float64 // one core's dynamic power at (vdd, f)
+	memLeak        float64 // one active cluster memory's leakage
+	b              Breakdown
+	active         []uint64 // bitset of clusters with an engaged core
+	activeClusters int
+}
+
+// engage starts an empty engagement at (vdd, f). words is the caller's
+// scratch for the cluster bitset; a larger one is allocated only for
+// chips with more clusters than it covers.
+func (m *Model) engage(words []uint64, vdd, f float64) engagement {
+	tp := m.Chip.Cfg.Tech
+	if n := (m.Chip.Cfg.Clusters + 63) / 64; n > len(words) {
+		words = make([]uint64, n)
+	}
+	return engagement{
+		m:       m,
+		vdd:     vdd,
+		coreDyn: tp.DynPower(vdd, f),
+		memLeak: tp.StaticPower(vdd, tp.VthNom) * m.ClusterMemLeakFactor,
+		active:  words,
+	}
+}
+
+// add engages core i.
+func (e *engagement) add(i int) {
+	e.b.CoreDynamic += e.coreDyn
+	e.b.CoreStatic += e.m.Chip.CoreStaticPower(i, e.vdd)
+	c := e.m.Chip.Cores[i].Cluster
+	if bit := uint64(1) << (c % 64); e.active[c/64]&bit == 0 {
+		e.active[c/64] |= bit
+		e.activeClusters++
+	}
+}
+
+// breakdown prices the cores engaged so far. Clusters containing no
+// engaged core are power-gated; each active cluster pays its memory
+// leakage.
+func (e *engagement) breakdown() Breakdown {
+	b := e.b
+	b.Memory = float64(e.activeClusters) * e.memLeak
+	b.Network = b.CoreDynamic * e.m.NetworkFracDyn
 	return b
 }
 
@@ -140,17 +184,28 @@ func (m *Model) Baseline() STVBaseline {
 	vdd := tp.VddNomSTV
 	f := tp.FSTV()
 	all := m.Chip.SelectCores(len(m.Chip.Cores), vdd, chip.SelectEfficient)
+	// Grow the prefix one core at a time: each step prices exactly
+	// what Engaged(all[:n+1]) would, with running sums instead of a
+	// from-scratch re-pricing per prefix.
+	var words [4]uint64
+	e := m.engage(words[:], vdd, f)
+	fits := e.breakdown()
 	n := 0
-	for n < len(all) && m.WithinBudget(all[:n+1], vdd, f) {
+	for n < len(all) {
+		e.add(all[n])
+		b := e.breakdown()
+		if !(b.Total() <= m.Budget()+1e-9) {
+			break
+		}
+		fits = b
 		n++
 	}
-	cores := all[:n]
 	return STVBaseline{
 		N:     n,
-		Cores: cores,
+		Cores: all[:n],
 		Vdd:   vdd,
 		Freq:  f,
-		Power: m.Engaged(cores, vdd, f).Total(),
+		Power: fits.Total(),
 	}
 }
 

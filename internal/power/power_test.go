@@ -171,3 +171,34 @@ func TestThermalCalibrationAtBudget(t *testing.T) {
 		t.Errorf("budget-level temperature %.1f C far from the 80 C calibration point", temp)
 	}
 }
+
+func TestBaselineMatchesPrefixRepricing(t *testing.T) {
+	for _, seed := range []int64{2014, 3, 41} {
+		ch, err := chip.New(chip.DefaultConfig(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewModel(ch)
+		// The O(N^2) loop Baseline used to run: re-price every prefix.
+		tp := ch.Cfg.Tech
+		vdd, f := tp.VddNomSTV, tp.FSTV()
+		all := ch.SelectCores(len(ch.Cores), vdd, chip.SelectEfficient)
+		n := 0
+		for n < len(all) && m.WithinBudget(all[:n+1], vdd, f) {
+			n++
+		}
+		want := m.Engaged(all[:n], vdd, f).Total()
+		b := m.Baseline()
+		if b.N != n || math.Float64bits(b.Power) != math.Float64bits(want) {
+			t.Fatalf("seed %d: baseline N=%d P=%v, re-priced N=%d P=%v", seed, b.N, b.Power, n, want)
+		}
+	}
+}
+
+func TestEngagedDoesNotAllocate(t *testing.T) {
+	m := testModel(t)
+	cores := m.Chip.SelectCores(100, m.Chip.VddNTV(), chip.SelectEfficient)
+	if a := testing.AllocsPerRun(100, func() { m.Engaged(cores, m.Chip.VddNTV(), 0.5) }); a != 0 {
+		t.Errorf("Engaged made %.0f allocations", a)
+	}
+}

@@ -17,6 +17,7 @@ package tech
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/mathx"
 )
@@ -144,14 +145,46 @@ func (p Params) freqRaw(vdd, vth float64) float64 {
 	if vdd <= 0 {
 		return 0
 	}
-	return math.Pow(p.softPlus(vdd-vth), p.Alpha) / vdd
+	return p.freqShape(vdd, p.softPlus(vdd-vth))
+}
+
+// freqShape is freqRaw given the soft-plus term s = S(Vdd-Vth).
+func (p Params) freqShape(vdd, s float64) float64 { return math.Pow(s, p.Alpha) / vdd }
+
+// calibration holds the constants that depend on the Params alone:
+// freqK and staticK.
+type calibration struct {
+	p       Params
+	freqK   float64
+	staticK float64
+}
+
+// lastCal is a one-entry cache of the calibration of the Params most
+// recently priced. A process works with one parameter set at a time
+// (Default11nm, or Default22nm for Figure 1c's comparison), so one
+// entry turns the transcendental calibration terms of every Freq and
+// StaticPower call into a struct comparison. A miss recomputes the
+// same values, so results never depend on the cache.
+var lastCal atomic.Pointer[calibration]
+
+// cal returns p's calibration, computing and caching it on a miss.
+func (p Params) cal() *calibration {
+	if c := lastCal.Load(); c != nil && c.p == p {
+		return c
+	}
+	c := &calibration{p: p}
+	c.freqK = p.FNomNTV / p.freqRaw(p.VddNomNTV, p.VthNom)
+	fstv := c.freqK * p.freqRaw(p.VddNomSTV, p.VthNom)
+	dynNom := p.DynPower(p.VddNomSTV, fstv)
+	statNom := dynNom * p.StaticFracSTV / (1 - p.StaticFracSTV)
+	c.staticK = statNom / p.staticRaw(p.VddNomSTV, p.VthNom)
+	lastCal.Store(c)
+	return c
 }
 
 // freqK returns the calibration constant mapping freqRaw to GHz such
 // that Freq(VddNomNTV, VthNom) == FNomNTV.
-func (p Params) freqK() float64 {
-	return p.FNomNTV / p.freqRaw(p.VddNomNTV, p.VthNom)
-}
+func (p Params) freqK() float64 { return p.cal().freqK }
 
 // Freq returns the maximum operating frequency in GHz of a core with
 // threshold voltage vth at supply vdd, absent any timing margin.
@@ -171,11 +204,7 @@ func (p Params) DynPower(vdd, f float64) float64 {
 
 // staticK returns the leakage calibration constant such that the static
 // share of core power at the STV nominal point equals StaticFracSTV.
-func (p Params) staticK() float64 {
-	dynNom := p.DynPower(p.VddNomSTV, p.FSTV())
-	statNom := dynNom * p.StaticFracSTV / (1 - p.StaticFracSTV)
-	return statNom / p.staticRaw(p.VddNomSTV, p.VthNom)
-}
+func (p Params) staticK() float64 { return p.cal().staticK }
 
 // staticRaw is the uncalibrated leakage power shape
 // Vdd * exp((-Vth + eta*Vdd) / (n_s phi_t)).
@@ -218,7 +247,11 @@ func (p Params) EnergyPerOp(vdd, vth float64) float64 {
 // variation.
 func (p Params) DelaySens(vdd, vth float64) float64 {
 	u := vdd - vth
-	s := p.softPlus(u)
+	return p.delaySens(u, p.softPlus(u))
+}
+
+// delaySens is DelaySens given u = Vdd-Vth and s = S(u).
+func (p Params) delaySens(u, s float64) float64 {
 	if s <= 0 {
 		return math.Inf(1)
 	}
@@ -272,27 +305,66 @@ func (p Params) PerrPerCycle(f, vdd, vth float64) float64 {
 // perr at the error-free target (e.g. 1e-16) this is the safe
 // frequency fNTV,Safe; larger perr values yield the speculative
 // frequencies of Accordion's Speculative modes.
+//
+// It is Delay(vdd, vth).FreqAt(PerrQuantile(perr)): callers that price
+// many cores at one error rate, or one core at many, solve each half
+// once and combine them.
 func (p Params) FreqAtPerr(vdd, vth, perr float64) float64 {
-	fmax := p.Freq(vdd, vth)
+	return p.Delay(vdd, vth).FreqAt(p.PerrQuantile(perr))
+}
+
+// PathDelay is the critical-path delay distribution of a core at one
+// operating point: each of its NPaths near-critical paths has Gaussian
+// delay with mean Mu (ns, 1/Freq) and standard deviation Sigma. Mu is
+// +Inf for a core that cannot switch (Freq <= 0).
+type PathDelay struct {
+	Mu, Sigma float64
+}
+
+// Delay returns the critical-path delay distribution at (vdd, vth). It
+// evaluates the soft-plus term once for both the frequency and its Vth
+// sensitivity; the result is bit-identical to mean 1/Freq(vdd, vth)
+// and sigma delaySpread(vdd, vth) times the mean.
+func (p Params) Delay(vdd, vth float64) PathDelay {
+	if vdd <= 0 {
+		return PathDelay{Mu: math.Inf(1)}
+	}
+	u := vdd - vth
+	s := p.softPlus(u)
+	fmax := p.freqK() * p.freqShape(vdd, s)
 	if fmax <= 0 {
+		return PathDelay{Mu: math.Inf(1)}
+	}
+	mu := 1 / fmax
+	return PathDelay{Mu: mu, Sigma: p.delaySens(u, s) * p.SigmaVthPath * mu}
+}
+
+// FreqAt returns the frequency in GHz whose clock period is the delay
+// z standard deviations above the mean, 1/(Mu + z*Sigma), or 0 for a
+// core that cannot switch.
+func (d PathDelay) FreqAt(z float64) float64 {
+	if math.IsInf(d.Mu, 1) {
 		return 0
 	}
+	return 1 / (d.Mu + z*d.Sigma)
+}
+
+// PerrQuantile returns the standard-normal quantile z at which a core's
+// NPaths near-critical paths fail with per-cycle probability perr; the
+// frequency at that error rate is PathDelay.FreqAt(z). It depends on
+// the Params only through NPaths, not on the core or the supply.
+func (p Params) PerrQuantile(perr float64) float64 {
 	if perr >= 1 {
 		// The delay distribution is unbounded; cap at the point where
 		// half the cycles fail.
 		perr = 0.5
 	}
-	mu := 1 / fmax
-	sigma := p.delaySpread(vdd, vth) * mu
 	n := float64(p.NPaths)
-	var z float64
 	if perr < 1e-6 {
-		z = mathx.StdNormalTailQuantile(perr / n)
-	} else {
-		// Solve 1 - CDF(z)^n = perr.
-		z = mathx.StdNormalTailQuantile(-math.Log1p(-perr) / n)
+		return mathx.StdNormalTailQuantile(perr / n)
 	}
-	return 1 / (mu + z*sigma)
+	// Solve 1 - CDF(z)^n = perr.
+	return mathx.StdNormalTailQuantile(-math.Log1p(-perr) / n)
 }
 
 // ErrorFreePerr is the per-cycle error probability the paper treats as

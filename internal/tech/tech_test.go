@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mathx"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -286,5 +288,65 @@ func TestEnergyPerOpInfiniteBelowCutoff(t *testing.T) {
 	p := Default11nm()
 	if !math.IsInf(p.EnergyPerOp(0, p.VthNom), 1) {
 		t.Error("zero-Vdd energy should be infinite")
+	}
+}
+
+// legacyFreqAtPerr is FreqAtPerr as written before it was split into
+// Delay and PerrQuantile, with the calibration recomputed per call.
+func legacyFreqAtPerr(p Params, vdd, vth, perr float64) float64 {
+	freqK := p.FNomNTV / p.freqRaw(p.VddNomNTV, p.VthNom)
+	fmax := freqK * p.freqRaw(vdd, vth)
+	if fmax <= 0 {
+		return 0
+	}
+	if perr >= 1 {
+		perr = 0.5
+	}
+	mu := 1 / fmax
+	sigma := p.delaySpread(vdd, vth) * mu
+	n := float64(p.NPaths)
+	var z float64
+	if perr < 1e-6 {
+		z = mathx.StdNormalTailQuantile(perr / n)
+	} else {
+		z = mathx.StdNormalTailQuantile(-math.Log1p(-perr) / n)
+	}
+	return 1 / (mu + z*sigma)
+}
+
+func TestFreqAtPerrSplitBitIdentical(t *testing.T) {
+	for _, p := range []Params{Default11nm(), Default22nm()} {
+		for _, vdd := range []float64{0, 0.45, 0.55, 0.7, 1.0} {
+			for _, vth := range []float64{0.25, 0.33, 0.42} {
+				d := p.Delay(vdd, vth)
+				for _, perr := range []float64{1e-16, 1e-10, 1e-6, 2e-6, 1e-2, 0.5, 1, 2} {
+					want := legacyFreqAtPerr(p, vdd, vth, perr)
+					for _, got := range []float64{p.FreqAtPerr(vdd, vth, perr), d.FreqAt(p.PerrQuantile(perr))} {
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("vdd %g vth %g perr %g: %v, legacy %v", vdd, vth, perr, got, want)
+						}
+					}
+					if vdd == 0 && want != 0 {
+						t.Fatalf("vdd 0: frequency %v", want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCalibrationCacheExact(t *testing.T) {
+	// Alternating parameter sets miss the one-entry cache every call;
+	// hits and misses must price identically to the uncached formulas.
+	for i := 0; i < 4; i++ {
+		for _, p := range []Params{Default11nm(), Default22nm()} {
+			freqK := p.FNomNTV / p.freqRaw(p.VddNomNTV, p.VthNom)
+			dynNom := p.DynPower(p.VddNomSTV, freqK*p.freqRaw(p.VddNomSTV, p.VthNom))
+			staticK := dynNom * p.StaticFracSTV / (1 - p.StaticFracSTV) / p.staticRaw(p.VddNomSTV, p.VthNom)
+			if math.Float64bits(p.freqK()) != math.Float64bits(freqK) ||
+				math.Float64bits(p.staticK()) != math.Float64bits(staticK) {
+				t.Fatalf("cached calibration (%v, %v) != (%v, %v)", p.freqK(), p.staticK(), freqK, staticK)
+			}
+		}
 	}
 }

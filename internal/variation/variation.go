@@ -255,23 +255,34 @@ func (s *Sampler) Params() FieldParams { return s.params }
 // fractional deviation of the parameter at point i, so the actual
 // parameter value is nominal * (1 + dev[i]).
 func (s *Sampler) Sample(rng *mathx.RNG) []float64 {
-	timer := telemetry.StartTimer()
 	dev := make([]float64, s.n)
+	s.SampleTo(dev, rng)
+	return dev
+}
+
+// SampleTo draws one chip's relative deviations into dst (length N)
+// without allocating: the standard-normal draws are written into dst
+// and multiplied by the Cholesky factor in place. It consumes rng
+// exactly as Sample does and yields bit-identical deviations.
+func (s *Sampler) SampleTo(dst []float64, rng *mathx.RNG) {
+	if len(dst) != s.n {
+		panic("variation: SampleTo buffer length mismatch")
+	}
+	timer := telemetry.StartTimer()
 	if s.chol != nil {
-		z := make([]float64, s.n)
-		for i := range z {
-			z[i] = rng.StdNormal()
+		for i := range dst {
+			dst[i] = rng.StdNormal()
 		}
-		sys := s.chol.LowerMulVec(z)
-		copy(dev, sys)
+		s.chol.LowerMulVecInPlace(dst)
+	} else {
+		clear(dst)
 	}
 	if s.sigmaRnd > 0 {
-		for i := range dev {
-			dev[i] += s.sigmaRnd * rng.StdNormal()
+		for i := range dst {
+			dst[i] += s.sigmaRnd * rng.StdNormal()
 		}
 	}
 	timer.ObserveIn(telSampleNs)
-	return dev
 }
 
 // ExactSampleCap is the largest point count SampleField hands to the

@@ -249,3 +249,28 @@ func TestSampleFieldRejectsBadDims(t *testing.T) {
 		t.Error("negative dimension accepted")
 	}
 }
+
+func TestSampleToReusesDirtyBuffer(t *testing.T) {
+	pts := randomPoints(30, mathx.NewRNG(2))
+	for _, fp := range []FieldParams{
+		DefaultVth(),
+		{SigmaMu: 0.1, CorrRange: 0.1, SysFrac: 0}, // no Cholesky factor
+		{SigmaMu: 0.1, CorrRange: 0.1, SysFrac: 1}, // no random component
+	} {
+		s, err := NewSampler(pts, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, s.N())
+		for i := range dst {
+			dst[i] = 1e3 // a previous draw's leftovers
+		}
+		want := s.Sample(mathx.NewRNG(77))
+		s.SampleTo(dst, mathx.NewRNG(77))
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v point %d: SampleTo %v, Sample %v", fp, i, dst[i], want[i])
+			}
+		}
+	}
+}
