@@ -66,49 +66,45 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/atlas"
 	"repro/internal/converge"
 	"repro/internal/experiments"
 	"repro/internal/history"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/provenance"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
 	"repro/internal/telemetry/trace"
 )
 
+var (
+	seed       = flag.Int64("seed", 1, "master seed for workloads and fault streams")
+	chip       = flag.Int64("chip", 2014, "seed of the representative chip sample")
+	chips      = flag.Int("chips", 20, "Monte-Carlo population size (the paper samples 100)")
+	workers    = flag.Int("j", 0, "worker-pool width for experiments and model sweeps (0 = GOMAXPROCS)")
+	format     = flag.String("format", "text", "output format: text or csv")
+	outDir     = flag.String("out", "", "also write each experiment to <out>/<id>.<ext>")
+	atlasDir   = atlas.DirFlag(flag.CommandLine)
+	maniPath   = flag.String("manifest", "", "write a run-provenance manifest (flags, versions, wall times, artifact SHA-256s)")
+	verifyMani = flag.String("verify-manifest", "", "re-hash a manifest's artifacts and exit non-zero on mismatch")
+	histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings) to this run-history store")
+	histCheck  = flag.Bool("history-check", false, "after appending, gate the record against its baseline window; exit 1 on regression (requires -history)")
+	histMargin = flag.Float64("history-margin", 0, "gate slack relative to the baseline mean (default 0.10; with -history-check)")
+	selfProf   = flag.Bool("selfprofile", false, "capture CPU+heap pprof around the run and store top hotspots in the history record (requires -history)")
+	obsFlags   = obs.Register(flag.CommandLine, "telemetry", "trace", "events", "convergence", "progress", "pprof")
+)
+
 func main() {
-	var (
-		seed       = flag.Int64("seed", 1, "master seed for workloads and fault streams")
-		chip       = flag.Int64("chip", 2014, "seed of the representative chip sample")
-		chips      = flag.Int("chips", 20, "Monte-Carlo population size (the paper samples 100)")
-		workers    = flag.Int("j", 0, "worker-pool width for experiments and model sweeps (0 = GOMAXPROCS)")
-		format     = flag.String("format", "text", "output format: text or csv")
-		outDir     = flag.String("out", "", "also write each experiment to <out>/<id>.<ext>")
-		telemMode  = telemetry.ModeFlag(flag.CommandLine)
-		tracePath  = flag.String("trace", "", "record spans and write a Chrome trace-event JSON file (open in Perfetto)")
-		eventsPath = events.PathFlag(flag.CommandLine)
-		atlasDir   = atlas.DirFlag(flag.CommandLine)
-		maniPath   = flag.String("manifest", "", "write a run-provenance manifest (flags, versions, wall times, artifact SHA-256s)")
-		convPath   = flag.String("convergence", "", "monitor Monte-Carlo convergence and write the statistics as JSON")
-		progress   = flag.Bool("progress", false, "print chips-done/ETA/CI-width progress lines to stderr during the run")
-		verifyMani = flag.String("verify-manifest", "", "re-hash a manifest's artifacts and exit non-zero on mismatch")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /telemetryz and /metricsz on this address (e.g. localhost:6060)")
-		histDir    = flag.String("history", "", "append a run record (telemetry, convergence, runner timings) to this run-history store")
-		histCheck  = flag.Bool("history-check", false, "after appending, gate the record against its baseline window; exit 1 on regression (requires -history)")
-		histMargin = flag.Float64("history-margin", 0, "gate slack relative to the baseline mean (default 0.10; with -history-check)")
-		selfProf   = flag.Bool("selfprofile", false, "capture CPU+heap pprof around the run and store top hotspots in the history record (requires -history)")
-	)
 	flag.Parse()
+	// finish writes every observability artifact and the manifest once
+	// the run has started; before that there is nothing to write.
+	finish := func() {}
 	fail := func(code int, format string, args ...any) {
+		finish()
 		fmt.Fprintf(os.Stderr, "accordion: "+format+"\n", args...)
 		os.Exit(code)
 	}
@@ -145,52 +141,6 @@ func main() {
 	}
 	parallel.SetWorkers(*workers)
 
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
-	if err != nil {
-		fail(2, "%v", err)
-	}
-	// The manifest and the history record report cache hit rates,
-	// which live in telemetry counters, so recording must be on even
-	// without a -telemetry dump.
-	if *pprofAddr != "" || *maniPath != "" || *histDir != "" {
-		telemetry.SetEnabled(true)
-	}
-	if *tracePath != "" {
-		trace.SetEnabled(true)
-	}
-	finishEvents, err := events.StartPath(*eventsPath)
-	if err != nil {
-		fail(2, "%v", err)
-	}
-	if *convPath != "" || *progress || *histDir != "" {
-		converge.SetEnabled(true)
-	}
-	if *pprofAddr != "" {
-		// net/http/pprof registered its handlers on the default mux at
-		// import; /telemetryz, /metricsz and /eventsz join them there.
-		http.Handle("/telemetryz", telemetry.Handler())
-		http.Handle("/metricsz", telemetry.MetricsHandler())
-		http.Handle("/eventsz", events.Handler())
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: pprof server: %v\n", err)
-			}
-		}()
-	}
-	dumpTelemetry := func() {
-		if err := reportTelemetry(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "accordion: telemetry: %v\n", err)
-		}
-	}
-
-	var man *provenance.Manifest
-	if *maniPath != "" {
-		man = provenance.New("accordion")
-		man.SetFlags(flag.CommandLine)
-	}
-
-	cfg := experiments.Config{Seed: *seed, ChipSeed: *chip, Chips: *chips}
-
 	args := flag.Args()
 	if len(args) == 1 && args[0] == "list" {
 		for _, id := range experiments.IDs() {
@@ -202,67 +152,42 @@ func main() {
 		args = experiments.IDs()
 	}
 
-	ctx := context.Background()
-	var root *trace.Span
-	if trace.On() {
-		root = trace.StartRoot("run").Arg("experiments", int64(len(args)))
-		ctx = trace.NewContext(ctx, root)
+	obsFlags.Chips = *chips
+	run, err := obsFlags.Start("accordion")
+	if err != nil {
+		fail(2, "%v", err)
+	}
+	// The manifest and the history record report cache hit rates,
+	// which live in telemetry counters, so recording must be on even
+	// without a -telemetry dump; the history record also carries the
+	// convergence statistics.
+	if *maniPath != "" || *histDir != "" {
+		telemetry.SetEnabled(true)
+	}
+	if *histDir != "" {
+		converge.SetEnabled(true)
 	}
 
+	var man *provenance.Manifest
+	if *maniPath != "" {
+		man = provenance.New("accordion")
+		man.SetFlags(flag.CommandLine)
+	}
+
+	cfg := experiments.Config{Seed: *seed, ChipSeed: *chip, Chips: *chips}
+	ctx := run.Context(context.Background())
+	trace.FromContext(ctx).Arg("experiments", int64(len(args)))
 	start := time.Now()
-	stopProgress := func() {}
-	if *progress {
-		done := make(chan struct{})
-		finished := make(chan struct{})
-		go func() {
-			defer close(finished)
-			tick := time.NewTicker(2 * time.Second)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					fmt.Fprintf(os.Stderr, "accordion: %s\n", converge.ProgressLine(*chips, time.Since(start)))
-				}
-			}
-		}()
-		stopProgress = func() {
-			close(done)
-			<-finished
-			fmt.Fprintf(os.Stderr, "accordion: %s\n", converge.ProgressLine(*chips, time.Since(start)))
-		}
-	}
 
-	// finishObservability closes the run span and writes every enabled
-	// observability artifact; called on the error path too, so a failed
-	// run still leaves its trace, convergence report and manifest (with
-	// the error recorded) behind.
-	finishObservability := func(results []experiments.RunResult) {
-		stopProgress()
-		if root != nil {
-			root.End()
-		}
-		if *tracePath != "" {
-			if err := writeTrace(*tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: trace: %v\n", err)
-			} else if man != nil {
-				if err := man.AddArtifactFile("trace.json", *tracePath); err != nil {
-					fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-				}
-			}
-		}
-		if *convPath != "" {
-			if err := writeConvergence(*convPath); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: convergence: %v\n", err)
-			} else if man != nil {
-				if err := man.AddArtifactFile("convergence.json", *convPath); err != nil {
-					fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-				}
-			}
-		}
-		// The atlas export runs before the event dump so its atlas.built
-		// and fault-provenance events land in events.ndjson too.
+	// finish runs on the error paths too, so a failed run still leaves
+	// its trace, convergence report, event log and manifest (with the
+	// error recorded) behind.
+	var results []experiments.RunResult
+	finish = func() {
+		finish = func() {}
+		// The atlas export runs before the event dump so its
+		// atlas.built and fault-provenance events land in
+		// events.ndjson too.
 		if *atlasDir != "" {
 			paths, err := writeAtlas(ctx, *atlasDir, cfg)
 			if err != nil {
@@ -275,20 +200,14 @@ func main() {
 				}
 			}
 		}
-		if *eventsPath != "" {
-			if err := finishEvents(); err != nil {
-				fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
-			} else if man != nil {
-				if err := man.AddArtifactFile("events.ndjson", *eventsPath); err != nil {
-					fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
-				}
-			}
+		for _, err := range run.Finish(man) {
+			fmt.Fprintf(os.Stderr, "accordion: %v\n", err)
 		}
 		if man != nil {
 			for _, r := range results {
 				man.AddRunner(r.ID, r.Elapsed, r.Err)
 			}
-			addCacheStats(man)
+			telemetry.CacheCounts(telemetry.Capture().Counters, man.AddCache)
 			man.Finish()
 			if err := man.WriteFile(*maniPath); err != nil {
 				fmt.Fprintf(os.Stderr, "accordion: manifest: %v\n", err)
@@ -299,7 +218,6 @@ func main() {
 	// With -selfprofile the run is bracketed by a pprof capture whose
 	// hotspot digest lands in the history record; without it the call
 	// is exactly the pre-history direct path.
-	var results []experiments.RunResult
 	var prof *history.ProfileSummary
 	if *selfProf {
 		var runErr error
@@ -321,9 +239,7 @@ func main() {
 	}
 	if err := experiments.FirstErr(results); err != nil {
 		// A partial run still has useful observability (which stage
-		// died, what the caches did first); emit before exiting.
-		finishObservability(results)
-		dumpTelemetry()
+		// died, what the caches did first); fail emits it.
 		fail(1, "%v", err)
 	}
 	render := func(w io.Writer, tables []*experiments.Table) error {
@@ -385,8 +301,7 @@ func main() {
 			}
 		}
 	}
-	finishObservability(results)
-	dumpTelemetry()
+	finish()
 
 	if *histDir != "" {
 		rec := buildHistoryRecord(results, time.Since(start), prof)
@@ -434,23 +349,6 @@ func buildHistoryRecord(results []experiments.RunResult, wall time.Duration, pro
 	return rec
 }
 
-// writeTrace exports everything the span arena recorded as Chrome
-// trace-event JSON.
-func writeTrace(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.Dump(f); err != nil {
-		f.Close()
-		return err
-	}
-	if n := trace.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "accordion: trace: arena overflow dropped %d events\n", n)
-	}
-	return f.Close()
-}
-
 // writeAtlas runs the fault-attribution pass on the representative
 // chip and writes the spatial export set (atlas.json, atlas.csv, the
 // SVG heatmaps) plus the per-core distortion ledger into dir. It
@@ -479,48 +377,4 @@ func writeAtlas(ctx context.Context, dir string, cfg experiments.Config) ([]stri
 		return nil, err
 	}
 	return append(paths, ledgerPath), nil
-}
-
-// writeConvergence dumps the Monte-Carlo convergence statistics.
-func writeConvergence(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := converge.Capture().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// addCacheStats harvests the memo caches' hit/miss counters from the
-// telemetry registry (cache.<name>.{hits,misses}) into the manifest.
-func addCacheStats(man *provenance.Manifest) {
-	snap := telemetry.Capture()
-	hits := map[string]int64{}
-	misses := map[string]int64{}
-	for _, c := range snap.Counters {
-		if name, ok := strings.CutPrefix(c.Name, "cache."); ok {
-			switch {
-			case strings.HasSuffix(name, ".hits"):
-				hits[strings.TrimSuffix(name, ".hits")] = c.Value
-			case strings.HasSuffix(name, ".misses"):
-				misses[strings.TrimSuffix(name, ".misses")] = c.Value
-			}
-		}
-	}
-	names := make([]string, 0, len(hits))
-	for name := range hits {
-		names = append(names, name)
-	}
-	for name := range misses {
-		if _, ok := hits[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		man.AddCache(name, hits[name], misses[name])
-	}
 }

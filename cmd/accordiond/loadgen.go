@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/events"
 )
 
@@ -466,30 +467,15 @@ func (l *loadFlags) cacheCounters(client *http.Client) (map[string]cachePair, er
 	}
 	defer resp.Body.Close()
 	var snap struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
+		Counters []telemetry.CounterSnapshot `json:"counters"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("decoding /telemetryz: %w", err)
 	}
 	out := map[string]cachePair{}
-	for _, c := range snap.Counters {
-		name, ok := strings.CutPrefix(c.Name, "cache.")
-		if !ok {
-			continue
-		}
-		if base, ok := strings.CutSuffix(name, ".hits"); ok {
-			p := out[base]
-			p.hits = c.Value
-			out[base] = p
-		} else if base, ok := strings.CutSuffix(name, ".misses"); ok {
-			p := out[base]
-			p.misses = c.Value
-			out[base] = p
-		}
-	}
+	telemetry.CacheCounts(snap.Counters, func(name string, hits, misses int64) {
+		out[name] = cachePair{hits, misses}
+	})
 	return out, nil
 }
 

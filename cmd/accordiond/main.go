@@ -75,28 +75,30 @@ import (
 	"time"
 
 	"repro/internal/history"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/events"
 )
 
+var (
+	addr         = flag.String("addr", "localhost:8344", "listen address for the HTTP service")
+	queueDepth   = flag.Int("queue", 16, "bounded job-queue depth; overflow is answered 429")
+	workers      = flag.Int("workers", 0, "job worker goroutines (0 = GOMAXPROCS)")
+	poolWidth    = flag.Int("j", 0, "worker-pool width for model sweeps inside a job (0 = GOMAXPROCS)")
+	retain       = flag.Int("retain", 64, "completed jobs kept addressable for /jobs/<id> and coalescing (negative = none)")
+	retryAfter   = flag.Duration("retry-after", time.Second, "minimum client backoff advertised on 429/503 responses")
+	drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown deadline for in-flight jobs")
+	sloP99       = flag.Duration("slo-p99", 0, "rolling-p99 latency budget; past it /healthz degrades (0 = off)")
+	sloErrRate   = flag.Float64("slo-error-rate", 0, "rolling error-rate budget, a fraction in (0,1]; past it /healthz degrades (0 = off)")
+	histDir      = flag.String("history", "", "append run-history records to this store directory (empty = off)")
+	histBatch    = flag.Int("history-batch", 16, "completed jobs per appended history record")
+	load         = newLoadFlags(flag.CommandLine)
+	obsFlags     = obs.Register(flag.CommandLine, "telemetry")
+)
+
 func main() {
-	var (
-		addr         = flag.String("addr", "localhost:8344", "listen address for the HTTP service")
-		queueDepth   = flag.Int("queue", 16, "bounded job-queue depth; overflow is answered 429")
-		workers      = flag.Int("workers", 0, "job worker goroutines (0 = GOMAXPROCS)")
-		poolWidth    = flag.Int("j", 0, "worker-pool width for model sweeps inside a job (0 = GOMAXPROCS)")
-		retain       = flag.Int("retain", 64, "completed jobs kept addressable for /jobs/<id> and coalescing (negative = none)")
-		retryAfter   = flag.Duration("retry-after", time.Second, "minimum client backoff advertised on 429/503 responses")
-		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown deadline for in-flight jobs")
-		sloP99       = flag.Duration("slo-p99", 0, "rolling-p99 latency budget; past it /healthz degrades (0 = off)")
-		sloErrRate   = flag.Float64("slo-error-rate", 0, "rolling error-rate budget, a fraction in (0,1]; past it /healthz degrades (0 = off)")
-		histDir      = flag.String("history", "", "append run-history records to this store directory (empty = off)")
-		histBatch    = flag.Int("history-batch", 16, "completed jobs per appended history record")
-		telemMode    = telemetry.ModeFlag(flag.CommandLine)
-		load         = newLoadFlags(flag.CommandLine)
-	)
 	flag.Parse()
 	fail := func(code int, format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "accordiond: "+format+"\n", args...)
@@ -129,13 +131,13 @@ func main() {
 	}
 	parallel.SetWorkers(*poolWidth)
 
-	// A service wants its ops surface live from the first request:
-	// telemetry recording and the domain-event ring are always on (the
-	// -telemetry flag only controls the shutdown dump to stderr).
-	report, err := telemetry.StartMode(*telemMode)
+	run, err := obsFlags.Start("accordiond")
 	if err != nil {
 		fail(2, "%v", err)
 	}
+	// A service wants its ops surface live from the first request:
+	// telemetry recording and the domain-event ring are always on (the
+	// -telemetry flag only controls the shutdown dump to stderr).
 	telemetry.SetEnabled(true)
 	events.SetEnabled(true)
 
@@ -158,9 +160,7 @@ func main() {
 	srv := service.New(cfg)
 
 	mux := srv.Mux()
-	mux.Handle("GET /telemetryz", telemetry.Handler())
-	mux.Handle("GET /metricsz", telemetry.MetricsHandler())
-	mux.Handle("GET /eventsz", events.Handler())
+	obs.Mount(mux)
 	mux.Handle("GET /statusz", statuszHandler(srv, slo))
 	mux.Handle("GET /watch", watchHandler())
 	if recorder != nil {
@@ -191,7 +191,7 @@ func main() {
 
 	select {
 	case err := <-listenErr:
-		fail(1, "%v", err)
+		run.Exit(1, err)
 	case <-sigCtx.Done():
 	}
 	stop()
@@ -219,8 +219,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "accordiond: listener: %v\n", err)
 		code = 1
 	}
-	if err := report(os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "accordiond: telemetry: %v\n", err)
+	for _, err := range run.Finish(nil) {
+		fmt.Fprintf(os.Stderr, "accordiond: %v\n", err)
 	}
 	fmt.Fprintln(os.Stderr, "accordiond: drained, exiting")
 	os.Exit(code)

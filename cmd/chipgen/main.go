@@ -22,8 +22,7 @@ import (
 	"repro/internal/atlas"
 	"repro/internal/chip"
 	"repro/internal/mathx"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
+	"repro/internal/obs"
 	"repro/internal/variation"
 	"repro/internal/workload"
 )
@@ -58,39 +57,26 @@ func writeField(path string, w, h int, seed int64) error {
 	return f.Close()
 }
 
-func main() {
-	var (
-		seed      = flag.Int64("seed", 2014, "population seed")
-		n         = flag.Int("n", 1, "number of chips to sample")
-		verbose   = flag.Bool("v", false, "per-cluster detail for the first chip")
-		saveFile  = flag.String("save", "", "write the first chip as JSON to this path")
-		loadFile  = flag.String("load", "", "analyze a previously saved chip instead of sampling")
-		fieldPGM  = flag.String("field", "", "render one Vth variation field to this PGM path")
-		fieldGrid = flag.String("fieldgrid", "48x48", "field resolution as WxH; grids above 4096 points use the O(n log n) circulant sampler")
-		telemMode = telemetry.ModeFlag(flag.CommandLine)
-		eventsTo  = events.PathFlag(flag.CommandLine)
-		atlasDir  = atlas.DirFlag(flag.CommandLine)
-	)
-	flag.Parse()
+var (
+	seed      = flag.Int64("seed", 2014, "population seed")
+	n         = flag.Int("n", 1, "number of chips to sample")
+	verbose   = flag.Bool("v", false, "per-cluster detail for the first chip")
+	saveFile  = flag.String("save", "", "write the first chip as JSON to this path")
+	loadFile  = flag.String("load", "", "analyze a previously saved chip instead of sampling")
+	fieldPGM  = flag.String("field", "", "render one Vth variation field to this PGM path")
+	fieldGrid = flag.String("fieldgrid", "48x48", "field resolution as WxH; grids above 4096 points use the O(n log n) circulant sampler")
+	atlasDir  = atlas.DirFlag(flag.CommandLine)
+	obsFlags  = obs.Register(flag.CommandLine, "telemetry", "events")
+)
 
-	fail := func(err error) {
+func main() {
+	flag.Parse()
+	run, err := obsFlags.Start("chipgen")
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "chipgen: %v\n", err)
 		os.Exit(1)
 	}
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
-	if err != nil {
-		fail(err)
-	}
-	defer reportTelemetry(os.Stderr)
-	finishEvents, err := events.StartPath(*eventsTo)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := finishEvents(); err != nil {
-			fmt.Fprintf(os.Stderr, "chipgen: %v\n", err)
-		}
-	}()
+	fail := func(err error) { run.Exit(1, err) }
 	var pop []*chip.Chip
 	if *loadFile != "" {
 		f, err := os.Open(*loadFile)
@@ -181,4 +167,5 @@ func main() {
 			fmt.Printf("%8d %10.3f %12.3f %12.3f\n", c, first.ClusterVddMIN(c), fLo, fHi)
 		}
 	}
+	run.Exit(0, nil)
 }

@@ -24,44 +24,30 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
+)
+
+var (
+	benchName = flag.String("bench", "canneal", "benchmark: canneal ferret bodytrack x264 hotspot srad")
+	flavorStr = flag.String("flavor", "safe", "mode flavor: safe or spec")
+	policyStr = flag.String("policy", "efficient", "core selection: efficient, fastest, sequential")
+	seed      = flag.Int64("seed", 1, "workload seed")
+	chipSeed  = flag.Int64("chip", 2014, "chip sample seed")
+	qfloor    = flag.Float64("qfloor", 0, "minimum relative quality (0 disables)")
+	clusterG  = flag.Bool("cluster", false, "engage whole clusters (the paper's Section 5.1 granularity)")
+	atlasDir  = atlas.DirFlag(flag.CommandLine)
+	obsFlags  = obs.Register(flag.CommandLine, "telemetry", "events")
 )
 
 func main() {
-	var (
-		benchName = flag.String("bench", "canneal", "benchmark: canneal ferret bodytrack x264 hotspot srad")
-		flavorStr = flag.String("flavor", "safe", "mode flavor: safe or spec")
-		policyStr = flag.String("policy", "efficient", "core selection: efficient, fastest, sequential")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		chipSeed  = flag.Int64("chip", 2014, "chip sample seed")
-		qfloor    = flag.Float64("qfloor", 0, "minimum relative quality (0 disables)")
-		clusterG  = flag.Bool("cluster", false, "engage whole clusters (the paper's Section 5.1 granularity)")
-		telemMode = telemetry.ModeFlag(flag.CommandLine)
-		eventsTo  = events.PathFlag(flag.CommandLine)
-		atlasDir  = atlas.DirFlag(flag.CommandLine)
-	)
 	flag.Parse()
-
-	fail := func(err error) {
+	run, err := obsFlags.Start("paretoscan")
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "paretoscan: %v\n", err)
 		os.Exit(1)
 	}
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
-	if err != nil {
-		fail(err)
-	}
-	defer reportTelemetry(os.Stderr)
-	finishEvents, err := events.StartPath(*eventsTo)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := finishEvents(); err != nil {
-			fmt.Fprintf(os.Stderr, "paretoscan: %v\n", err)
-		}
-	}()
+	fail := func(err error) { run.Exit(1, err) }
 
 	var flavor core.Flavor
 	switch *flavorStr {
@@ -128,4 +114,5 @@ func main() {
 			op.ProblemSize, op.Mode, op.N, op.Freq, op.Perr,
 			op.RelN, op.RelMIPSPerWatt, op.RelPower, op.RelQuality, limit)
 	}
+	run.Exit(0, nil)
 }

@@ -16,47 +16,30 @@ import (
 	"os"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/events"
+)
+
+var (
+	benchName = flag.String("bench", "", "use a kernel's reference mix (canneal ferret bodytrack x264 hotspot srad btcmine)")
+	kindStr   = flag.String("kind", "random", "custom mix: streaming, strided, random, pointer-chase")
+	ws        = flag.Int("ws", 1<<20, "custom mix: working set in bytes")
+	memfrac   = flag.Float64("memfrac", 0.3, "custom mix: memory references per instruction")
+	hot       = flag.Float64("hot", 0.9, "custom mix: fraction of references to the hot region")
+	stride    = flag.Int("stride", 8, "custom mix: stride in bytes for streaming/strided")
+	freq      = flag.Float64("f", 1.0, "core frequency in GHz")
+	n         = flag.Int64("n", 500000, "dynamic instructions to simulate")
+	obsFlags  = obs.Register(flag.CommandLine, "telemetry")
 )
 
 func main() {
-	var (
-		benchName = flag.String("bench", "", "use a kernel's reference mix (canneal ferret bodytrack x264 hotspot srad btcmine)")
-		kindStr   = flag.String("kind", "random", "custom mix: streaming, strided, random, pointer-chase")
-		ws        = flag.Int("ws", 1<<20, "custom mix: working set in bytes")
-		memfrac   = flag.Float64("memfrac", 0.3, "custom mix: memory references per instruction")
-		hot       = flag.Float64("hot", 0.9, "custom mix: fraction of references to the hot region")
-		stride    = flag.Int("stride", 8, "custom mix: stride in bytes for streaming/strided")
-		freq      = flag.Float64("f", 1.0, "core frequency in GHz")
-		n         = flag.Int64("n", 500000, "dynamic instructions to simulate")
-		telemMode = telemetry.ModeFlag(flag.CommandLine)
-		eventsTo  = events.PathFlag(flag.CommandLine)
-	)
 	flag.Parse()
-
-	fail := func(err error) {
+	run, err := obsFlags.Start("tracesim")
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracesim: %v\n", err)
 		os.Exit(1)
 	}
-	reportTelemetry, err := telemetry.StartMode(*telemMode)
-	if err != nil {
-		fail(err)
-	}
-	defer reportTelemetry(os.Stderr)
-	// tracesim drives no chip or benchmark run, so the event log only
-	// fills when future sim-level events land; the shared flag keeps the
-	// observability surface uniform across the cmd binaries.
-	finishEvents, err := events.StartPath(*eventsTo)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := finishEvents(); err != nil {
-			fmt.Fprintf(os.Stderr, "tracesim: %v\n", err)
-		}
-	}()
+	fail := func(err error) { run.Exit(1, err) }
 
 	var spec sim.TraceSpec
 	if *benchName != "" {
@@ -96,4 +79,5 @@ func main() {
 	fmt.Printf("L1 (64KB 4-way):  %d accesses, miss rate %.4f\n", res.L1.Accesses, res.L1.MissRate())
 	fmt.Printf("L2 (2MB 16-way):  %d accesses, miss rate %.4f\n", res.L2.Accesses, res.L2.MissRate())
 	fmt.Printf("CPI @ %.2f GHz:   %.3f   (long-latency misses/op: %.2e)\n", *freq, res.CPI, res.MissPerOp)
+	run.Exit(0, nil)
 }

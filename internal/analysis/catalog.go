@@ -4,7 +4,7 @@ import "strings"
 
 // Catalog is the checked-in vocabulary of telemetry metric names and
 // domain event kinds. The telemetrynames analyzer refuses any
-// GetCounter/GetGauge/GetHistogram/StartSpan or events.New call whose
+// GetCounter/GetGauge/GetHistogram/GetWindow or events.New call whose
 // name is not (a) a string literal matching ^[a-z0-9_.]+$ registered
 // here, or (b) a concatenation whose literal prefix is registered
 // here. That keeps the /metricsz namespace and the event-kind
@@ -12,7 +12,7 @@ import "strings"
 // drifting or colliding one emit site at a time: adding a name means
 // touching this file, which means the diff shows the vocabulary grew.
 type Catalog struct {
-	// Metrics are exact telemetry counter/gauge/histogram/span names.
+	// Metrics are exact telemetry counter/gauge/histogram/window names.
 	Metrics map[string]bool
 	// MetricPrefixes cover families with a dynamic tail, e.g. the
 	// per-cache counters "cache.<Name>.hits".

@@ -139,6 +139,9 @@ func DefaultConfig(startDir string) (*Config, error) {
 				"rms/hotspot", "rms/srad", "rms/xh264", "sim", "tech", "telemetry", "telemetry/trace", "variation"},
 			"service": {"experiments", "provenance", "telemetry", "telemetry/events"},
 			"history": {"converge", "provenance", "telemetry", "telemetry/events"},
+			// The binaries' observability front door; nothing under
+			// internal may import it.
+			"obs": {"converge", "provenance", "telemetry", "telemetry/events", "telemetry/trace"},
 		},
 		// Substrate purity: the numeric substrate and the device models
 		// must never know about chips, benchmarks, or the framework.

@@ -9,7 +9,7 @@ import (
 
 // TelemetryNamesAnalyzer keeps the observability vocabulary closed and
 // greppable. Every name handed to telemetry.GetCounter / GetGauge /
-// GetHistogram / StartSpan and every kind handed to events.New must
+// GetHistogram / GetWindow and every kind handed to events.New must
 //
 //   - resolve statically: a string literal, a concatenation with a
 //     literal prefix ("cache." + name + ".hits"), or a local variable
@@ -35,7 +35,7 @@ var nameRe = regexp.MustCompile(`^[a-z0-9_.]+$`)
 // module-relative defining package.
 var metricFuncs = map[string]bool{
 	"GetCounter": true, "GetGauge": true, "GetHistogram": true,
-	"GetWindow": true, "GetWindowWithUnit": true, "StartSpan": true,
+	"GetWindow": true, "GetWindowWithUnit": true,
 }
 
 const (

@@ -271,8 +271,7 @@ func (a *Atlas) WriteDir(dir string) ([]string, error) {
 }
 
 // DirFlag registers the shared -atlas flag on fs and returns the
-// destination, mirroring telemetry.ModeFlag / events.PathFlag so the
-// flag cannot drift between the cmd binaries.
+// destination, so the flag cannot drift between the cmd binaries.
 func DirFlag(fs *flag.FlagSet) *string {
 	return fs.String("atlas", "",
 		"write per-chip spatial exports (JSON, CSV, SVG heatmaps) into this directory")

@@ -32,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // enabled is the process-wide switch; Observe is one atomic load while
@@ -60,13 +62,13 @@ type Series struct {
 	name string
 	unit string
 
-	mu    sync.Mutex
-	w     Welford
-	gauge gauges
-}
+	mu sync.Mutex
+	w  Welford
 
-type gauges struct {
-	count, meanMicro, ciMicro interface{ Set(int64) }
+	// Telemetry gauges mirroring the running count, mean and CI95
+	// half-width; the float statistics are scaled by 1e6 since gauge
+	// values are integers.
+	count, meanMicro, ciMicro *telemetry.Gauge
 }
 
 // Name returns the series' registered name.
@@ -127,16 +129,6 @@ var reg struct {
 	m  map[string]*Series
 }
 
-// gaugeSetter indirects telemetry gauge updates so this package's only
-// coupling to internal/telemetry is the three Set calls; wired in
-// gauges.go to keep the layering explicit.
-var gaugeSetter = func(series, kind string) interface{ Set(int64) } { return nil }
-
-// nopGauge satisfies the gauge surface when no setter is wired.
-type nopGauge struct{}
-
-func (nopGauge) Set(int64) {}
-
 // Get returns the process-wide series registered under name, creating
 // it with the unit on first use. The unit is fixed at first
 // registration.
@@ -148,20 +140,16 @@ func Get(name, unit string) *Series {
 	}
 	s, ok := reg.m[name]
 	if !ok {
-		s = &Series{name: name, unit: unit}
-		s.gauge.count = orNop(gaugeSetter(name, "count"))
-		s.gauge.meanMicro = orNop(gaugeSetter(name, "mean_micro"))
-		s.gauge.ciMicro = orNop(gaugeSetter(name, "ci95_micro"))
+		s = &Series{
+			name:      name,
+			unit:      unit,
+			count:     telemetry.GetGauge("converge." + name + ".count"),
+			meanMicro: telemetry.GetGauge("converge." + name + ".mean_micro"),
+			ciMicro:   telemetry.GetGauge("converge." + name + ".ci95_micro"),
+		}
 		reg.m[name] = s
 	}
 	return s
-}
-
-func orNop(g interface{ Set(int64) }) interface{ Set(int64) } {
-	if g == nil {
-		return nopGauge{}
-	}
-	return g
 }
 
 // Observe records one value for the named series when monitoring is
@@ -173,10 +161,10 @@ func Observe(name, unit string, v float64) {
 	}
 	s := Get(name, unit)
 	n, mean, ci := s.observe(v)
-	s.gauge.count.Set(n)
-	s.gauge.meanMicro.Set(int64(mean * 1e6))
+	s.count.Set(n)
+	s.meanMicro.Set(int64(mean * 1e6))
 	if !math.IsInf(ci, 1) {
-		s.gauge.ciMicro.Set(int64(ci * 1e6))
+		s.ciMicro.Set(int64(ci * 1e6))
 	}
 }
 

@@ -44,12 +44,6 @@ func RunMany(ctx context.Context, cfg Config, ids []string) ([]RunResult, error)
 	// ResetCaches cannot interleave with the memo layers mid-flight.
 	defer holdCaches()()
 	return parallel.MapCtx(ctx, len(ids), func(wctx context.Context, i int) (RunResult, error) {
-		// Per-runner stage timing lands in experiments.run.<id>; the
-		// span name is only built while telemetry records.
-		var sp telemetry.Span
-		if telemetry.On() {
-			sp = telemetry.StartSpan("experiments.run." + ids[i])
-		}
 		rctx := wctx
 		var tsp *trace.Span
 		if trace.On() {
@@ -57,15 +51,18 @@ func RunMany(ctx context.Context, cfg Config, ids []string) ([]RunResult, error)
 			rctx = trace.NewContext(wctx, tsp)
 		}
 		// Per-runner wall time is reporting, not simulation: it feeds
-		// RunResult.Elapsed and the provenance manifest, and no model
-		// output depends on it.
+		// RunResult.Elapsed (the provenance manifest) and, while
+		// telemetry records, the experiments.run.<id> histogram; no
+		// model output depends on it.
 		//lint:ignore determinism wall-clock runner timing feeds the provenance manifest only
 		start := time.Now()
 		tables, err := reg[ids[i]](rctx, cfg)
 		//lint:ignore determinism wall-clock runner timing feeds the provenance manifest only
 		elapsed := time.Since(start)
 		tsp.End()
-		sp.End()
+		if telemetry.On() {
+			telemetry.GetHistogram("experiments.run." + ids[i]).Observe(elapsed.Nanoseconds())
+		}
 		return RunResult{ID: ids[i], Tables: tables, Err: err, Elapsed: elapsed}, nil
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/converge"
 	"repro/internal/provenance"
@@ -68,21 +67,11 @@ func (r *Record) AddTelemetry(snap telemetry.Snapshot) {
 // addCacheRates derives cache.<name>.hit_rate from the hit/miss
 // counter pairs the memo caches maintain.
 func (r *Record) addCacheRates(snap telemetry.Snapshot) {
-	hits := map[string]int64{}
-	misses := map[string]int64{}
-	for _, c := range snap.Counters {
-		if name, ok := strings.CutSuffix(c.Name, ".hits"); ok && strings.HasPrefix(name, "cache.") {
-			hits[name] = c.Value
+	telemetry.CacheCounts(snap.Counters, func(name string, hits, misses int64) {
+		if total := hits + misses; total > 0 {
+			r.Set("cache."+name+".hit_rate", float64(hits)/float64(total))
 		}
-		if name, ok := strings.CutSuffix(c.Name, ".misses"); ok && strings.HasPrefix(name, "cache.") {
-			misses[name] = c.Value
-		}
-	}
-	for name, h := range hits {
-		if total := h + misses[name]; total > 0 {
-			r.Set(name+".hit_rate", float64(h)/float64(total))
-		}
-	}
+	})
 }
 
 // AddConvergence folds a converge snapshot into the record. CI95 is

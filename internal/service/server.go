@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -271,7 +270,7 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	if err == nil {
 		man.AddArtifactBytes("response:"+j.id, body)
 	}
-	addCacheStats(man, j.scope)
+	telemetry.CacheCounts(j.scope.Counters(), man.AddCache)
 	man.Finish()
 	s.finish(j, body, err, man)
 	if s.cfg.OnJobDone != nil {
@@ -774,38 +773,4 @@ func writeError(w http.ResponseWriter, status int, err error) int {
 	data, _ := json.Marshal(doc)
 	n, _ := w.Write(append(data, '\n'))
 	return n
-}
-
-// addCacheStats harvests the job's own cache traffic from its
-// telemetry scope into the manifest: every cache.<name>.{hits,misses}
-// pair the scope tallied becomes one manifest cache entry, sorted by
-// name. Scoped harvesting is what keeps concurrent jobs' manifests
-// honest — each reports the hits and misses its own execution
-// incurred, and the per-job counts sum to the global delta.
-func addCacheStats(man *provenance.Manifest, sc *telemetry.Scope) {
-	hits := map[string]int64{}
-	misses := map[string]int64{}
-	for _, c := range sc.Counters() {
-		if name, ok := strings.CutPrefix(c.Name, "cache."); ok {
-			switch {
-			case strings.HasSuffix(name, ".hits"):
-				hits[strings.TrimSuffix(name, ".hits")] = c.Value
-			case strings.HasSuffix(name, ".misses"):
-				misses[strings.TrimSuffix(name, ".misses")] = c.Value
-			}
-		}
-	}
-	names := make([]string, 0, len(hits))
-	for name := range hits {
-		names = append(names, name)
-	}
-	for name := range misses {
-		if _, ok := hits[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		man.AddCache(name, hits[name], misses[name])
-	}
 }

@@ -2,12 +2,8 @@ package events
 
 import (
 	"bytes"
-	"flag"
-	"io"
 	"math"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -190,59 +186,6 @@ func TestHandlerServesNDJSON(t *testing.T) {
 	}
 	if len(evs) != 1 || evs[0].Kind != "front.measured" {
 		t.Fatalf("handler served %+v", evs)
-	}
-}
-
-func TestStartPath(t *testing.T) {
-	resetAll(t)
-
-	// Empty path: no-op, logging stays off.
-	finish, err := StartPath("")
-	if err != nil {
-		t.Fatalf("StartPath(\"\"): %v", err)
-	}
-	if On() {
-		t.Fatal("empty StartPath enabled logging")
-	}
-	if err := finish(); err != nil {
-		t.Fatalf("no-op finish: %v", err)
-	}
-
-	path := filepath.Join(t.TempDir(), "events.ndjson")
-	finish, err = StartPath(path)
-	if err != nil {
-		t.Fatalf("StartPath: %v", err)
-	}
-	if !On() {
-		t.Fatal("StartPath did not enable logging")
-	}
-	New("drop.triggered").Int("core", 3).Emit()
-	if err := finish(); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("open dump: %v", err)
-	}
-	defer f.Close()
-	evs, err := ParseNDJSON(f)
-	if err != nil {
-		t.Fatalf("parse dump: %v", err)
-	}
-	if len(evs) != 1 || evs[0].Kind != "drop.triggered" {
-		t.Fatalf("dump holds %+v", evs)
-	}
-}
-
-func TestPathFlag(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	p := PathFlag(fs)
-	if err := fs.Parse([]string{"-events", "out.ndjson"}); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if *p != "out.ndjson" {
-		t.Fatalf("flag value = %q", *p)
 	}
 }
 

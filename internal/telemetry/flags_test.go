@@ -1,106 +1,106 @@
-package telemetry
+package telemetry_test
 
 import (
-	"bytes"
 	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
-// TestModeFlag: the helper registers the one shared -telemetry flag.
+// The -telemetry flag is bound and acted on by obs, the binaries'
+// observability front door; these tests pin the flag's contract from
+// the telemetry side.
+
+// startTelemetry parses args into a -telemetry flag bound by obs and
+// starts the run with os.Stderr redirected to a temp file. It returns
+// the run and a function that reads what the run printed there.
+func startTelemetry(t *testing.T, args ...string) (*obs.Run, func() string, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := obs.Register(fs, "telemetry")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = saved }()
+	t.Cleanup(func() { tmp.Close() })
+	r, err := f.Start("t")
+	return r, func() string {
+		data, err := os.ReadFile(tmp.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}, err
+}
+
+// TestModeFlag: obs registers the one shared -telemetry flag.
 func TestModeFlag(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	mode := ModeFlag(fs)
+	f := obs.Register(fs, "telemetry")
 	if err := fs.Parse([]string{"-telemetry", "json"}); err != nil {
 		t.Fatal(err)
 	}
-	if *mode != "json" {
-		t.Fatalf("mode = %q, want json", *mode)
+	if f.Telemetry != "json" {
+		t.Fatalf("mode = %q, want json", f.Telemetry)
 	}
 }
 
 // TestStartModeEmpty: the empty mode is a valid no-op that does not
 // enable recording.
 func TestStartModeEmpty(t *testing.T) {
-	defer SetEnabled(false)()
-	report, err := StartMode("")
+	defer telemetry.SetEnabled(false)()
+	r, stderr, err := startTelemetry(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if On() {
+	if telemetry.On() {
 		t.Fatal("empty mode enabled telemetry")
 	}
-	var buf bytes.Buffer
-	if err := report(&buf); err != nil {
-		t.Fatal(err)
+	if errs := r.Finish(nil); errs != nil {
+		t.Fatal(errs)
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("empty mode reported %q", buf.String())
+	if out := stderr(); out != "" {
+		t.Fatalf("empty mode reported %q", out)
 	}
 }
 
 // TestStartModeTextJSON: both real modes enable recording and render
 // their respective formats.
 func TestStartModeTextJSON(t *testing.T) {
-	defer SetEnabled(false)()
+	defer telemetry.SetEnabled(false)()
 	for mode, marker := range map[string]string{"text": "== telemetry", "json": `"counters"`} {
-		SetEnabled(false)
-		report, err := StartMode(mode)
+		telemetry.SetEnabled(false)
+		r, stderr, err := startTelemetry(t, "-telemetry", mode)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if !On() {
+		if !telemetry.On() {
 			t.Fatalf("%s mode did not enable telemetry", mode)
 		}
-		var buf bytes.Buffer
-		if err := report(&buf); err != nil {
-			t.Fatal(err)
+		if errs := r.Finish(nil); errs != nil {
+			t.Fatal(errs)
 		}
-		if !strings.Contains(buf.String(), marker) {
-			t.Fatalf("%s report missing %q:\n%s", mode, marker, buf.String())
+		if out := stderr(); !strings.Contains(out, marker) {
+			t.Fatalf("%s report missing %q:\n%s", mode, marker, out)
 		}
 	}
 }
 
 // TestStartModeInvalid rejects anything but text/json/empty.
 func TestStartModeInvalid(t *testing.T) {
-	if _, err := StartMode("xml"); err == nil {
-		t.Fatal("StartMode accepted xml")
-	}
-}
-
-// TestHistogramUnitRendering: a non-time histogram renders with its
-// own unit in text output and carries it in the snapshot.
-func TestHistogramUnitRendering(t *testing.T) {
-	defer SetEnabled(true)()
-	h := GetHistogramWithUnit("test.unit.bytes", "B")
-	h.reset()
-	h.Observe(4096)
-	if h.Unit() != "B" {
-		t.Fatalf("unit = %q, want B", h.Unit())
-	}
-	s := Capture()
-	var found bool
-	for _, hs := range s.Histograms {
-		if hs.Name == "test.unit.bytes" {
-			found = true
-			if hs.Unit != "B" {
-				t.Fatalf("snapshot unit = %q, want B", hs.Unit)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("histogram missing from snapshot")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "4096B") {
-		t.Fatalf("text render did not use the B unit:\n%s", buf.String())
-	}
-	// Default-unit histograms still render as durations.
-	if GetHistogram("test.unit.default").Unit() != "ns" {
-		t.Fatal("GetHistogram default unit is not ns")
+	defer telemetry.SetEnabled(false)()
+	if _, _, err := startTelemetry(t, "-telemetry", "xml"); err == nil {
+		t.Fatal("Start accepted -telemetry xml")
 	}
 }

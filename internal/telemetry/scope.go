@@ -2,12 +2,13 @@ package telemetry
 
 import (
 	"context"
+	"strings"
 	"sync"
 )
 
 // Scope attributes recordings to one unit of work — the accordiond
 // server opens one per job — so concurrent jobs can each report their
-// own cache hits and stage timings instead of reading the shared
+// own cache hits and misses instead of reading the shared
 // process-wide totals. A scoped recording always lands in the global
 // metric first (the process totals stay authoritative) and then
 // tallies into the scope, so for any counter the global delta over an
@@ -21,17 +22,6 @@ import (
 type Scope struct {
 	mu       sync.Mutex
 	counters map[string]int64
-	hists    map[string]*scopeHist
-}
-
-// scopeHist mirrors a Histogram's accumulation for one scope.
-type scopeHist struct {
-	unit   string
-	count  int64
-	sum    int64
-	min    int64
-	max    int64
-	counts [histBuckets]int64
 }
 
 // NewScope returns an empty scope ready to receive attributions.
@@ -44,32 +34,6 @@ func (sc *Scope) addCounter(name string, n int64) {
 		sc.counters = make(map[string]int64)
 	}
 	sc.counters[name] += n
-	sc.mu.Unlock()
-}
-
-// observe tallies one histogram observation inside the scope.
-func (sc *Scope) observe(name, unit string, v int64) {
-	if v < 0 {
-		v = 0
-	}
-	sc.mu.Lock()
-	if sc.hists == nil {
-		sc.hists = make(map[string]*scopeHist)
-	}
-	h, ok := sc.hists[name]
-	if !ok {
-		h = &scopeHist{unit: unit}
-		sc.hists[name] = h
-	}
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.counts[bucketOf(v)]++
 	sc.mu.Unlock()
 }
 
@@ -99,39 +63,6 @@ func (sc *Scope) Counters() []CounterSnapshot {
 	return out
 }
 
-// Histograms returns the scope's histogram tallies sorted by name,
-// with the same interpolated quantiles a registry snapshot carries.
-// Nil-safe.
-func (sc *Scope) Histograms() []HistogramSnapshot {
-	if sc == nil {
-		return nil
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	out := make([]HistogramSnapshot, 0, len(sc.hists))
-	for _, n := range sortedNames(sc.hists) {
-		h := sc.hists[n]
-		s := HistogramSnapshot{
-			Name:    n,
-			Unit:    h.unit,
-			Count:   h.count,
-			Sum:     h.sum,
-			Min:     h.min,
-			Max:     h.max,
-			Buckets: h.counts,
-		}
-		if h.count > 0 {
-			s.Mean = float64(h.sum) / float64(h.count)
-			counts := h.counts
-			s.P50 = quantile(&counts, h.count, 0.50, h.min, h.max)
-			s.P95 = quantile(&counts, h.count, 0.95, h.min, h.max)
-			s.P99 = quantile(&counts, h.count, 0.99, h.min, h.max)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // AddScoped increments the counter globally and tallies the increment
 // into sc. Both receiver and scope are nil-safe; a disabled switch
 // records nowhere.
@@ -148,16 +79,28 @@ func (c *Counter) AddScoped(sc *Scope, n int64) {
 // IncScoped is AddScoped by one.
 func (c *Counter) IncScoped(sc *Scope) { c.AddScoped(sc, 1) }
 
-// ObserveScoped records the value globally and tallies it into sc.
-// Both receiver and scope are nil-safe; a disabled switch records
-// nowhere.
-func (h *Histogram) ObserveScoped(sc *Scope, v int64) {
-	if h == nil || !enabled.Load() {
-		return
+// CacheCounts folds the memo caches' cache.<name>.{hits,misses}
+// counters into one add call per cache, in name order. A run's
+// manifest harvests the global snapshot through it, a service job's
+// manifest its own scope.
+func CacheCounts(counters []CounterSnapshot, add func(name string, hits, misses int64)) {
+	caches := map[string]*[2]int64{}
+	for _, c := range counters {
+		rest, ok := strings.CutPrefix(c.Name, "cache.")
+		if !ok {
+			continue
+		}
+		for i, suffix := range [2]string{".hits", ".misses"} {
+			if name, ok := strings.CutSuffix(rest, suffix); ok {
+				if caches[name] == nil {
+					caches[name] = new([2]int64)
+				}
+				caches[name][i] = c.Value
+			}
+		}
 	}
-	h.observe(v)
-	if sc != nil {
-		sc.observe(h.name, h.unit, v)
+	for _, name := range sortedNames(caches) {
+		add(name, caches[name][0], caches[name][1])
 	}
 }
 

@@ -35,37 +35,6 @@ func TestScopedCounterAttribution(t *testing.T) {
 	}
 }
 
-// TestScopedHistogram checks scoped observations accumulate a private
-// distribution beside the global one.
-func TestScopedHistogram(t *testing.T) {
-	defer SetEnabled(true)()
-	h := GetHistogramWithUnit("test.scope.hist", "bytes")
-	h.reset()
-	sc := NewScope()
-	for i := int64(1); i <= 100; i++ {
-		h.ObserveScoped(sc, i)
-	}
-	h.Observe(1 << 30) // global-only outlier
-
-	hs := sc.Histograms()
-	if len(hs) != 1 {
-		t.Fatalf("scope histograms = %d, want 1", len(hs))
-	}
-	s := hs[0]
-	if s.Name != "test.scope.hist" || s.Unit != "bytes" {
-		t.Errorf("name/unit = %s/%s", s.Name, s.Unit)
-	}
-	if s.Count != 100 || s.Min != 1 || s.Max != 100 {
-		t.Errorf("scope distribution = %+v, want count 100 in [1,100]", s)
-	}
-	if s.Max >= 1<<30 {
-		t.Error("global-only outlier leaked into the scope")
-	}
-	if h.Count() != 101 {
-		t.Errorf("global count = %d, want 101", h.Count())
-	}
-}
-
 // TestScopeDisabledAndNil: with the switch off nothing records
 // anywhere, and nil scopes/handles are no-ops.
 func TestScopeDisabledAndNil(t *testing.T) {
@@ -85,10 +54,8 @@ func TestScopeDisabledAndNil(t *testing.T) {
 	}
 	var nilC *Counter
 	nilC.AddScoped(sc, 1)
-	var nilH *Histogram
-	nilH.ObserveScoped(sc, 1)
 	var nilScope *Scope
-	if nilScope.CounterValue("x") != 0 || nilScope.Counters() != nil || nilScope.Histograms() != nil {
+	if nilScope.CounterValue("x") != 0 || nilScope.Counters() != nil {
 		t.Error("nil scope readouts are not zero")
 	}
 

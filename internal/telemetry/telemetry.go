@@ -1,14 +1,14 @@
 // Package telemetry is the repository's zero-dependency observability
-// substrate: atomic counters, gauges, bounded log-scale histograms
-// (with p50/p95/p99 readouts), and span-style stage timers, all hanging
-// off one process-wide registry that Snapshot() reads without stopping
-// the world.
+// substrate: atomic counters, gauges and bounded log-scale histograms
+// (with p50/p95/p99 readouts), all hanging off one process-wide
+// registry that Snapshot() reads without stopping the world. Stage
+// timing goes through Timer, which records into a histogram.
 //
 // Design constraints, in order:
 //
 //  1. Near-zero cost when off. Recording is gated on one atomic load of
 //     the package-wide Enabled switch; a disabled Counter.Add,
-//     Histogram.Observe, Gauge.Set, or StartSpan performs no allocation
+//     Histogram.Observe, Gauge.Set, or StartTimer performs no allocation
 //     and no time.Now call. Hot layers (the parallel pool, the memo
 //     caches, the chip factory) therefore instrument unconditionally
 //     and let the switch decide.
@@ -21,9 +21,9 @@
 //     interpolated within the winning bucket and clamped to the
 //     observed min/max.
 //
-// Metric handles are nil-safe: calling Add/Set/Observe/End on a nil
-// metric (or the zero Span) is a no-op, so optional instrumentation
-// needs no guards.
+// Metric handles are nil-safe: calling Add/Set/Observe on a nil metric
+// (or ObserveIn on the zero Timer) is a no-op, so optional
+// instrumentation needs no guards.
 package telemetry
 
 import (
@@ -32,7 +32,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // enabled is the process-wide switch. All recording paths check it
@@ -153,8 +152,8 @@ func (h *Histogram) Observe(v int64) {
 	h.observe(v)
 }
 
-// observe records unconditionally; used by Span.End so a span started
-// while enabled still lands if the switch flips mid-flight.
+// observe records unconditionally. It is split from Observe so the
+// disabled check stays small enough to inline at every call site.
 func (h *Histogram) observe(v int64) {
 	if v < 0 {
 		v = 0
@@ -262,34 +261,6 @@ func quantile(counts *[histBuckets]int64, total int64, q float64, min, max int64
 		seen += counts[b]
 	}
 	return max
-}
-
-// Span measures one stage: StartSpan captures the clock, End records
-// the elapsed nanoseconds into the named histogram. The zero Span is a
-// no-op, which is what StartSpan returns while telemetry is off — so
-// the disabled path never reads the clock.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartSpan begins timing a stage against the named histogram. While
-// telemetry is disabled it returns the zero Span without touching the
-// clock or the registry; note the name argument itself is evaluated by
-// the caller, so gate expensive name construction on On().
-func StartSpan(name string) Span {
-	if !enabled.Load() {
-		return Span{}
-	}
-	return Span{h: GetHistogram(name), start: time.Now()}
-}
-
-// End records the span's elapsed time. Safe on the zero Span.
-func (s Span) End() {
-	if s.h == nil {
-		return
-	}
-	s.h.observe(time.Since(s.start).Nanoseconds())
 }
 
 // registry is the process-wide name -> metric table. It is locked only

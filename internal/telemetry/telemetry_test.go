@@ -268,7 +268,7 @@ func TestSnapshotUnderFire(t *testing.T) {
 
 // TestTelemetryDisabledOverhead guards the Enabled contract: the
 // disabled record path allocates nothing — not for counters, gauges,
-// histograms, or spans.
+// or histograms.
 func TestTelemetryDisabledOverhead(t *testing.T) {
 	defer SetEnabled(false)()
 	c := GetCounter("test.overhead.counter")
@@ -279,8 +279,6 @@ func TestTelemetryDisabledOverhead(t *testing.T) {
 		c.Inc()
 		g.Set(9)
 		h.Observe(123)
-		sp := StartSpan("test.overhead.span")
-		sp.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocates %.1f objects per op, want 0", allocs)
@@ -333,7 +331,7 @@ func TestRegistryIdentity(t *testing.T) {
 	}
 }
 
-// TestNilSafety: nil metric handles and the zero Span are no-ops.
+// TestNilSafety: nil metric handles are no-ops.
 func TestNilSafety(t *testing.T) {
 	defer SetEnabled(true)()
 	var c *Counter
@@ -345,20 +343,6 @@ func TestNilSafety(t *testing.T) {
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil metrics returned nonzero values")
-	}
-	var s Span
-	s.End() // must not panic
-}
-
-// TestSpanRecords: a span lands one observation in its histogram.
-func TestSpanRecords(t *testing.T) {
-	defer SetEnabled(true)()
-	h := GetHistogram("test.span.hist")
-	h.reset()
-	sp := StartSpan("test.span.hist")
-	sp.End()
-	if h.Count() != 1 {
-		t.Fatalf("span recorded %d observations, want 1", h.Count())
 	}
 }
 
@@ -456,5 +440,41 @@ func TestBucketOf(t *testing.T) {
 		if got := bucketOf(c.v); got != c.want {
 			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
 		}
+	}
+}
+
+// TestHistogramUnitRendering: a non-time histogram renders with its
+// own unit in text output and carries it in the snapshot.
+func TestHistogramUnitRendering(t *testing.T) {
+	defer SetEnabled(true)()
+	h := GetHistogramWithUnit("test.unit.bytes", "B")
+	h.reset()
+	h.Observe(4096)
+	if h.Unit() != "B" {
+		t.Fatalf("unit = %q, want B", h.Unit())
+	}
+	s := Capture()
+	var found bool
+	for _, hs := range s.Histograms {
+		if hs.Name == "test.unit.bytes" {
+			found = true
+			if hs.Unit != "B" {
+				t.Fatalf("snapshot unit = %q, want B", hs.Unit)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("histogram missing from snapshot")
+	}
+	var buf bytes.Buffer
+	if err := s.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "4096B") {
+		t.Fatalf("text render did not use the B unit:\n%s", buf.String())
+	}
+	// Default-unit histograms still render as durations.
+	if GetHistogram("test.unit.default").Unit() != "ns" {
+		t.Fatal("GetHistogram default unit is not ns")
 	}
 }

@@ -2,10 +2,10 @@ package telemetry
 
 import "time"
 
-// Timer is the hot-path variant of Span for call sites that hold a
-// pre-registered *Histogram handle: StartTimer captures the clock only
-// while telemetry records, and ObserveIn lands the elapsed nanoseconds
-// in the handle. It exists so simulation packages (chip, variation,
+// Timer times a stage for call sites that hold a pre-registered
+// *Histogram handle: StartTimer captures the clock only while telemetry
+// records, and ObserveIn lands the elapsed nanoseconds in the handle.
+// It exists so simulation packages (chip, variation,
 // experiments, ...) never call time.Now themselves — the accordionvet
 // determinism analyzer forbids wall-clock reads there, because a
 // simulation result must be a pure function of (config, seed). All

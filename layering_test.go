@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +32,16 @@ func TestInternalLayering(t *testing.T) {
 	}
 	if len(cfg.AllowedDeps) < 15 {
 		t.Fatalf("layering matrix lists only %d internal packages", len(cfg.AllowedDeps))
+	}
+	// obs is the binaries' observability front door: it sits above the
+	// tiers, and no internal package may import it.
+	if _, ok := cfg.AllowedDeps["obs"]; !ok {
+		t.Error("layering matrix has no obs entry")
+	}
+	for pkg, deps := range cfg.AllowedDeps {
+		if slices.Contains(deps, "obs") {
+			t.Errorf("%s may import obs; only cmd binaries may", pkg)
+		}
 	}
 	res, err := layeringRun()
 	if err != nil {
